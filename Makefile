@@ -71,6 +71,7 @@ bench-overhead:
 # out (-run '^$$' keeps the corpus-only seeds from re-running twice).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmltree
+	$(GO) test -run '^$$' -fuzz FuzzTokenizerMatchesEncodingXML -fuzztime $(FUZZTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzCompilePattern -fuzztime $(FUZZTIME) ./internal/keygen
 	$(GO) test -run '^$$' -fuzz FuzzCompileRule -fuzztime $(FUZZTIME) ./internal/rules
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/xpath

@@ -125,6 +125,12 @@ func run(args []string, ready chan<- string) error {
 		return errors.New("-spool is required")
 	}
 
+	// Take over SIGTERM/SIGINT before anything can report the daemon
+	// up: a stop that arrives while it starts, or right after /readyz
+	// first answers, must drain it rather than kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+
 	logger := log.New(os.Stderr, "sxnmd: ", log.LstdFlags)
 	srv, err := server.New(server.Config{
 		SpoolDir:        *spoolDir,
@@ -175,8 +181,6 @@ func run(args []string, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -224,6 +225,59 @@ func TestDaemonSmokeSIGTERMRestart(t *testing.T) {
 		}
 	case <-time.After(90 * time.Second):
 		t.Fatal("second generation never exited")
+	}
+}
+
+// Regression: run() used to install its signal handler only after it
+// reported ready, so a SIGTERM that arrived as soon as /readyz answered
+// found no handler: in a real process it killed the daemon instead of
+// draining it. The test holds run() at its ready report (an unbuffered
+// channel), signals once /readyz answers, and only then lets it go on.
+func TestDaemonDrainsSIGTERMRightAfterReady(t *testing.T) {
+	// Catch SIGTERM for the test too, so a daemon that misses it hangs
+	// (and fails below) instead of killing the test binary.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	ready := make(chan string)
+	exited := make(chan error, 1)
+	go func() {
+		exited <- run([]string{"-addr", addr, "-spool", t.TempDir(), "-workers", "1", "-drain-timeout", "1m"}, ready)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never answered /readyz")
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-guard: // delivered to every handler installed by now
+	case <-time.After(10 * time.Second):
+		t.Fatal("SIGTERM never delivered")
+	}
+	<-ready
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon ignored a SIGTERM sent right after it reported ready")
 	}
 }
 

@@ -134,27 +134,20 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		}
 	}
 
-	// Match elements to candidates by absolute path. Candidate paths
-	// that use the descendant axis or wildcards are resolved up front
-	// into an element-pointer set; plain paths match by string, which
-	// avoids materializing node sets for the common case.
-	byAbsPath := make(map[string]*config.Candidate, len(cfg.Candidates))
+	// Match elements to candidates. Plain candidate paths are matched
+	// by a name trie that advances as the walk descends; paths that use
+	// the descendant axis, wildcards or predicates are resolved up front
+	// into an element-pointer set, which takes precedence.
+	trie := newCandTrie(cfg)
 	special := make(map[*xmltree.Node]*config.Candidate)
 	for i := range cfg.Candidates {
 		c := &cfg.Candidates[i]
 		if isPlainPath(c.XPath) {
-			byAbsPath[c.XPath] = c
 			continue
 		}
 		for _, n := range c.AbsPath().SelectDocument(doc) {
 			special[n] = c
 		}
-	}
-	candidateOf := func(n *xmltree.Node) *config.Candidate {
-		if c, ok := special[n]; ok {
-			return c
-		}
-		return byAbsPath[n.AbsolutePath()]
 	}
 
 	// Depth-first walk with an explicit stack of open candidate
@@ -166,8 +159,9 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 	}
 	var stack []open
 	visited := 0
-	var walk func(n *xmltree.Node) error
-	walk = func(n *xmltree.Node) error {
+	// walk visits n, whose parent's trie state is at.
+	var walk func(n *xmltree.Node, at *candTrie) error
+	walk = func(n *xmltree.Node, at *candTrie) error {
 		if n.Kind != xmltree.ElementNode {
 			return nil
 		}
@@ -175,8 +169,13 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		if err := bud.poll(visited); err != nil {
 			return err
 		}
+		at = at.child(n.Name)
+		c := special[n]
+		if c == nil {
+			c = at.candidate()
+		}
 		pushed := false
-		if c := candidateOf(n); c != nil {
+		if c != nil {
 			t := tables[c.Name]
 			if err := lim.CheckRows(len(t.Rows) + 1); err != nil {
 				return err
@@ -200,7 +199,7 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 			pushed = true
 		}
 		for _, ch := range n.Children {
-			if err := walk(ch); err != nil {
+			if err := walk(ch, at); err != nil {
 				return err
 			}
 		}
@@ -209,7 +208,7 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		}
 		return nil
 	}
-	if err := walk(doc.Root); err != nil {
+	if err := walk(doc.Root, trie); err != nil {
 		if isInterruption(err) {
 			// Keep the rows extracted so far: the caller may still
 			// inspect or persist the partial tables.
@@ -273,9 +272,69 @@ func buildRow(n *xmltree.Node, c *config.Candidate) (GKRow, error) {
 	return row, nil
 }
 
+// candTrie matches plain candidate paths one element name at a time:
+// an element's state is its parent's state advanced by its name, so no
+// element builds its absolute path. This is the interning idea of
+// DAG-compressed XML (Böttcher et al.): the repeated root-to-element
+// paths are stored once, as trie nodes.
+type candTrie struct {
+	name string
+	cand *config.Candidate // the candidate whose path ends here, if any
+	next []*candTrie
+}
+
+// newCandTrie builds the trie of cfg's plain candidate paths from their
+// compiled steps, so a leading slash or spaces around a step mean what
+// they mean to the xpath evaluator. If two plain paths select the same
+// elements, the first candidate in configuration order wins.
+func newCandTrie(cfg *config.Config) *candTrie {
+	root := &candTrie{}
+	for i := range cfg.Candidates {
+		c := &cfg.Candidates[i]
+		if !isPlainPath(c.XPath) {
+			continue
+		}
+		n := root
+		for _, st := range c.AbsPath().Steps {
+			next := n.child(st.Name)
+			if next == nil {
+				next = &candTrie{name: st.Name}
+				n.next = append(n.next, next)
+			}
+			n = next
+		}
+		if n.cand == nil {
+			n.cand = c
+		}
+	}
+	return root
+}
+
+// child returns the state below n for an element named name, or nil
+// when no plain candidate path continues there. A nil state stays nil.
+func (n *candTrie) child(name string) *candTrie {
+	if n == nil {
+		return nil
+	}
+	for _, c := range n.next {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// candidate returns the candidate matched at state n, if any.
+func (n *candTrie) candidate() *config.Candidate {
+	if n == nil {
+		return nil
+	}
+	return n.cand
+}
+
 // isPlainPath reports whether an xpath string is a simple slash-joined
 // element-name path (no predicates, wildcards, or descendant axis), so
-// instance matching can use AbsolutePath string comparison.
+// instances can be matched by candTrie.
 func isPlainPath(p string) bool {
 	for i := 0; i < len(p); i++ {
 		switch p[i] {

@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -17,21 +14,23 @@ import (
 )
 
 // GenerateKeysStream is the streaming variant of GenerateKeys: it
-// reads the document token by token and only materializes the subtree
-// of the candidate instance currently open, so memory stays bounded by
-// the largest candidate subtree instead of the whole document — the
-// paper positions SXNM for "large amounts of data", and phase 1 is a
-// single pass by design (Sec. 3.3).
+// reads the document token by token, through the same tokenizer as
+// xmltree.Parse, and only materializes the subtree of the candidate
+// instance currently open, so memory stays bounded by the largest
+// candidate subtree instead of the whole document — the paper positions
+// SXNM for "large amounts of data", and phase 1 is a single pass by
+// design (Sec. 3.3).
 //
 // Element IDs assigned to candidate instances match GenerateKeys
-// exactly (document-order numbering over elements and significant text
-// nodes), so the two key generators are interchangeable; a property
+// exactly (the tokenizer numbers elements and significant text nodes
+// for both), so the two key generators are interchangeable; a property
 // test asserts table equality.
 //
 // Restriction: candidate paths must be plain element paths (no //, *,
-// or predicates), because match decisions must be made on the open-tag
-// stack before the subtree is read. Configurations violating this are
-// rejected with an error; use GenerateKeys for them.
+// or predicates), because match decisions are made by the candidate
+// trie as each start tag arrives, before the subtree is read.
+// Configurations violating this are rejected with an error; use
+// GenerateKeys for them.
 func GenerateKeysStream(r io.Reader, cfg *config.Config) (*KeyGenResult, error) {
 	return GenerateKeysStreamContext(context.Background(), r, cfg, Limits{})
 }
@@ -64,7 +63,6 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 	bud := newBudget(ctx, lim)
 
 	tables := make(map[string]*GKTable, len(cfg.Candidates))
-	byAbsPath := make(map[string]*config.Candidate, len(cfg.Candidates))
 	for i := range cfg.Candidates {
 		c := &cfg.Candidates[i]
 		if !isPlainPath(c.XPath) {
@@ -78,7 +76,6 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 		for j, od := range c.OD {
 			simNames[j] = od.SimFunc
 		}
-		byAbsPath[c.XPath] = c
 		tables[c.Name] = &GKTable{
 			Candidate: c,
 			fields:    fields,
@@ -86,221 +83,106 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 			byEID:     make(map[int]int),
 		}
 	}
-
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
-
-	// Document-order node numbering replicating xmltree.Parse: the
-	// root starts at 1; every element and every significant
-	// (non-whitespace, non-merged) text node takes the next ID.
-	nextID := 0
-
-	// path tracks open element names outside any buffered subtree.
-	var path []string
-	// openCand tracks open candidate instances (outermost first) for
-	// nearest-ancestor registration.
-	type openInstance struct {
-		cand *config.Candidate
-		row  int // row index in its table once registered
-	}
-	var openCands []openInstance
-
-	// While inside a candidate subtree, build xmltree nodes so the
-	// relative-path machinery applies unchanged. cur is the node being
-	// filled; candRoots parallels openCands with the buffered roots.
-	var cur *xmltree.Node
-	var candRoots []*xmltree.Node
-
-	sawRoot := false
-	depthOutside := 0 // elements opened outside buffering
-
-	// pendingDesc accumulates, per open candidate instance (by stack
-	// depth), the descendant EIDs observed so far, keyed by candidate
-	// name. They are attached to the row when the instance closes.
-	var pendingDesc []map[string][]int
-
 	// partial returns the tables filled so far together with the typed
 	// interruption cause, preserving completed work.
 	partial := func(cause error) (*KeyGenResult, error) {
 		return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, cause
 	}
-	checkNodes := func() error {
-		if lim.MaxNodes > 0 && nextID > lim.MaxNodes {
-			return &runlimit.LimitError{Limit: "max-nodes", Max: lim.MaxNodes, Observed: nextID}
-		}
-		return nil
-	}
 
-	tokens := 0
-	depth := 0
-	for {
-		tok, err := dec.Token()
+	// The tokenizer is the parse: it numbers nodes exactly as
+	// xmltree.Parse does and enforces lim.MaxDepth and lim.MaxNodes.
+	tz := xmltree.NewTokenizer(r, lim)
+	// states holds the candidate-trie state of every open element,
+	// below the state of the document itself.
+	states := []*candTrie{newCandTrie(cfg)}
+	// Inside a candidate instance the subtree is built as xmltree nodes,
+	// so the relative-path machinery applies unchanged; cur is the
+	// innermost open built element, nil outside every instance.
+	var cur *xmltree.Node
+	// open lists the open candidate instances, outermost first. desc
+	// accumulates the EIDs of the instance's nearest descendant
+	// instances by candidate name; they are attached to its row when it
+	// closes.
+	type openInstance struct {
+		cand *config.Candidate
+		root *xmltree.Node
+		desc map[string][]int
+	}
+	var open []openInstance
+
+	for tokens := 1; ; tokens++ {
+		kind, err := tz.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
+			if isInterruption(err) {
+				return partial(err)
+			}
 			return nil, fmt.Errorf("core: stream: %w", err)
 		}
-		tokens++
 		if err := bud.poll(tokens); err != nil {
 			return partial(err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			if lim.MaxDepth > 0 && depth > lim.MaxDepth {
-				return partial(&runlimit.LimitError{Limit: "max-depth", Max: lim.MaxDepth, Observed: depth})
+		switch kind {
+		case xmltree.StartToken:
+			at := states[len(states)-1].child(tz.Name())
+			states = append(states, at)
+			cand := at.candidate()
+			if cur == nil && cand == nil {
+				continue
 			}
-			nextID++
-			if err := checkNodes(); err != nil {
-				return partial(err)
-			}
-			id := nextID
+			e := &xmltree.Node{Kind: xmltree.ElementNode, Name: tz.Name(), Attrs: tz.AppendAttrs(nil), ID: tz.ID()}
 			if cur != nil {
-				// Inside a buffered candidate subtree.
-				e := xmltree.NewElement(t.Name.Local)
-				e.ID = id
-				copyAttrs(e, t.Attr)
 				cur.AppendChild(e)
-				cur = e
-			} else {
-				if !sawRoot {
-					sawRoot = true
-				}
-				path = append(path, t.Name.Local)
-				depthOutside++
 			}
-			// Candidate match: by joined path when outside, or by
-			// extending the outer candidate's path when inside.
-			abs := currentAbsPath(path, candRoots, cur)
-			if cand, ok := byAbsPath[abs]; ok {
-				root := cur
-				if root == nil {
-					root = xmltree.NewElement(t.Name.Local)
-					root.ID = id
-					copyAttrs(root, t.Attr)
-					cur = root
-				}
-				openCands = append(openCands, openInstance{cand: cand, row: -1})
-				candRoots = append(candRoots, root)
-				pendingDesc = append(pendingDesc, nil)
+			cur = e
+			if cand != nil {
+				open = append(open, openInstance{cand: cand, root: e})
 			}
-		case xml.EndElement:
-			depth--
-			if cur != nil {
-				// Does this end tag close the innermost candidate?
-				if len(candRoots) > 0 && cur == candRoots[len(candRoots)-1] {
-					inst := openCands[len(openCands)-1]
-					root := candRoots[len(candRoots)-1]
-					desc := pendingDesc[len(pendingDesc)-1]
-					openCands = openCands[:len(openCands)-1]
-					candRoots = candRoots[:len(candRoots)-1]
-					pendingDesc = pendingDesc[:len(pendingDesc)-1]
-
-					tbl := tables[inst.cand.Name]
-					if err := lim.CheckRows(len(tbl.Rows) + 1); err != nil {
-						return partial(err)
-					}
-					row, err := buildRow(root, inst.cand)
-					if err != nil {
-						return nil, err
-					}
-					row.Desc = desc
-					tbl.byEID[row.EID] = len(tbl.Rows)
-					tbl.Rows = append(tbl.Rows, row)
-
-					// Register with the nearest open candidate.
-					if len(pendingDesc) > 0 {
-						if pendingDesc[len(pendingDesc)-1] == nil {
-							pendingDesc[len(pendingDesc)-1] = make(map[string][]int, 2)
-						}
-						m := pendingDesc[len(pendingDesc)-1]
-						m[inst.cand.Name] = append(m[inst.cand.Name], row.EID)
-					}
-					// Detach: if this candidate was nested in another
-					// buffered subtree, keep the subtree (the parent's
-					// relative paths may reach into it); cur moves up.
-					cur = root.Parent
-					if cur == nil {
-						// The outermost buffered candidate also sits on
-						// the open-tag stack: close it there too.
-						path = path[:len(path)-1]
-						depthOutside--
-					}
-					continue
-				}
-				cur = cur.Parent
+		case xmltree.EndToken:
+			states = states[:len(states)-1]
+			if cur == nil {
 				continue
 			}
-			if len(path) == 0 {
-				return nil, errors.New("core: stream: unbalanced end element")
-			}
-			path = path[:len(path)-1]
-			depthOutside--
-		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			if cur != nil {
-				// Merge adjacent text as xmltree.Parse does.
-				if k := len(cur.Children); k > 0 && cur.Children[k-1].Kind == xmltree.TextNode {
-					cur.Children[k-1].Data += s
-					continue
-				}
-				nextID++
-				if err := checkNodes(); err != nil {
+			if inst := open[len(open)-1]; cur == inst.root {
+				open = open[:len(open)-1]
+				tbl := tables[inst.cand.Name]
+				if err := lim.CheckRows(len(tbl.Rows) + 1); err != nil {
 					return partial(err)
 				}
-				txt := xmltree.NewText(s)
-				txt.ID = nextID
-				cur.AppendChild(txt)
-			} else {
-				if sawRoot && depthOutside > 0 {
-					nextID++
-					if err := checkNodes(); err != nil {
-						return partial(err)
+				row, err := buildRow(cur, inst.cand)
+				if err != nil {
+					return nil, err
+				}
+				row.Desc = inst.desc
+				tbl.byEID[row.EID] = len(tbl.Rows)
+				tbl.Rows = append(tbl.Rows, row)
+				// Register with the nearest open instance. A nested
+				// instance's subtree stays attached to its parent's:
+				// the parent's relative paths may reach into it.
+				if len(open) > 0 {
+					parent := &open[len(open)-1]
+					if parent.desc == nil {
+						parent.desc = make(map[string][]int, 2)
 					}
+					parent.desc[inst.cand.Name] = append(parent.desc[inst.cand.Name], row.EID)
 				}
 			}
+			cur = cur.Parent
+		case xmltree.TextToken:
+			if cur == nil {
+				continue
+			}
+			if tz.Merged() {
+				last := cur.Children[len(cur.Children)-1]
+				last.Data += string(tz.Text())
+				continue
+			}
+			txt := xmltree.NewText(string(tz.Text()))
+			txt.ID = tz.ID()
+			cur.AppendChild(txt)
 		}
-	}
-	if !sawRoot {
-		return nil, errors.New("core: stream: empty document")
-	}
-	if len(path) != 0 || cur != nil {
-		return nil, errors.New("core: stream: unexpected EOF inside element")
 	}
 	return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, nil
-}
-
-// currentAbsPath computes the absolute path of the element just
-// opened: outside buffering it is the joined open-tag stack; inside a
-// buffered subtree it is the buffering candidate's path extended by
-// the buffered ancestor names.
-func currentAbsPath(path []string, candRoots []*xmltree.Node, cur *xmltree.Node) string {
-	if cur == nil {
-		return strings.Join(path, "/")
-	}
-	outer := candRoots[0]
-	var rel []string
-	for e := cur; e != nil && e != outer; e = e.Parent {
-		rel = append(rel, e.Name)
-	}
-	var b strings.Builder
-	b.WriteString(strings.Join(path, "/"))
-	for i := len(rel) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(rel[i])
-	}
-	return b.String()
-}
-
-func copyAttrs(e *xmltree.Node, attrs []xml.Attr) {
-	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		e.Attrs = append(e.Attrs, xmltree.Attr{Name: a.Name.Local, Value: a.Value})
-	}
 }

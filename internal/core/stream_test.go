@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/dataset"
 	"repro/internal/gen/freedb"
+	"repro/internal/xmltree"
 )
 
 // sortRowsByEID returns the table's rows ordered by element ID; the
@@ -69,33 +70,83 @@ func assertTablesEqual(t *testing.T, dom, stream *KeyGenResult, cfg *config.Conf
 	}
 }
 
-func TestStreamMatchesDOMMovies(t *testing.T) {
-	doc, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: 150, Seed: 7})
+// streamMatchesDOM parses doc's serialization both ways, through
+// xmltree.Parse plus GenerateKeys and through GenerateKeysStream, and
+// requires equal tables.
+func streamMatchesDOM(t *testing.T, doc *xmltree.Document, cfg *config.Config) {
+	t.Helper()
+	xmlText := doc.String()
+	parsed, err := xmltree.ParseString(xmlText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mustValidate(t, dataset.ScalabilityConfig(3))
-	dom, err := GenerateKeys(doc, cfg)
+	dom, err := GenerateKeys(parsed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := GenerateKeysStream(strings.NewReader(doc.String()), cfg)
+	stream, err := GenerateKeysStream(strings.NewReader(xmlText), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, dom, stream, cfg)
 }
 
+func TestStreamMatchesDOMMovies(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		movies int
+		cfg    *config.Config
+	}{
+		{"scalability", 150, dataset.ScalabilityConfig(3)},
+		{"dataset1", 60, config.DataSet1(3)}, // about 1k elements
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			doc, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: c.movies, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := doc.Stats().Elements; n < 900 {
+				t.Fatalf("corpus has only %d elements", n)
+			}
+			streamMatchesDOM(t, doc, mustValidate(t, c.cfg))
+		})
+	}
+}
+
 func TestStreamMatchesDOMCDs(t *testing.T) {
-	doc := freedb.Generate(freedb.DefaultOptions(200, 9))
-	cfg := config.DataSet2(4)
-	// Replace the cds/disc path config with nested candidates.
-	mustValidate(t, cfg)
+	for _, c := range []struct {
+		name string
+		doc  *xmltree.Document
+		cfg  *config.Config
+	}{
+		{"freedb", freedb.Generate(freedb.DefaultOptions(200, 9)), config.DataSet2(4)},
+		{"dataset3", dataset.DataSet3(80, 9), config.DataSet3(4)}, // about 1k elements
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := c.doc.Stats().Elements; n < 900 {
+				t.Fatalf("corpus has only %d elements", n)
+			}
+			streamMatchesDOM(t, c.doc, mustValidate(t, c.cfg))
+		})
+	}
+}
+
+// Comments, CDATA, references and processing instructions split text
+// into several tokens, inside and outside candidates; the streaming
+// path must number the merged text nodes as the parser does.
+func TestStreamMatchesDOMSplitText(t *testing.T) {
+	xmlText := `<?xml version="1.0"?><!DOCTYPE movie_database>
+<movie_database>stray<!-- c -->more<?pi x?> &amp; tail<movies>
+ <![CDATA[ ]]>x<movie year="1999"><title>Silent<!-- c --> River</title><![CDATA[a]]>b</movie>
+ <movie><title>Silent &#x52;iver</title><people><person>A<?p?>B</person></people></movie>
+</movies>z</movie_database>`
+	doc := mustDoc(t, xmlText)
+	cfg := mustValidate(t, movieConfig(config.RuleCombined))
 	dom, err := GenerateKeys(doc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := GenerateKeysStream(strings.NewReader(doc.String()), cfg)
+	stream, err := GenerateKeysStream(strings.NewReader(xmlText), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

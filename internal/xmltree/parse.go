@@ -1,8 +1,6 @@
 package xmltree
 
 import (
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -27,97 +25,112 @@ func Parse(r io.Reader) (*Document, error) {
 // *runlimit.LimitError, so hostile or runaway documents fail fast
 // instead of exhausting memory. Zero limits parse unbounded.
 func ParseWithLimits(r io.Reader, lim runlimit.Limits) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
+	return build(NewTokenizer(r, lim))
+}
 
-	var root *Node
-	var cur *Node
-	depth := 0
-	nodes := 0
-	countNode := func() error {
-		nodes++
-		if lim.MaxNodes > 0 && nodes > lim.MaxNodes {
-			return fmt.Errorf("xmltree: parse: %w",
-				&runlimit.LimitError{Limit: "max-nodes", Max: lim.MaxNodes, Observed: nodes})
-		}
-		return nil
-	}
+// build assembles the tree from the tokenizer's events. Nodes, child
+// lists and attribute lists are carved from chunked arenas, so a parse
+// makes a few large allocations instead of several per node. Each list
+// is capped at its length: appending to one reallocates it instead of
+// writing into its neighbour.
+func build(tz *Tokenizer) (*Document, error) {
+	var a arena
+	var root, cur *Node
+	// kids holds the children of the open elements, innermost last;
+	// first[i] is where the i-th open element's children start.
+	var kids []*Node
+	var first []int
 	for {
-		tok, err := dec.Token()
+		kind, err := tz.Next()
 		if err == io.EOF {
-			break
+			return &Document{Root: root}, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			if lim.MaxDepth > 0 && depth > lim.MaxDepth {
-				return nil, fmt.Errorf("xmltree: parse: %w",
-					&runlimit.LimitError{Limit: "max-depth", Max: lim.MaxDepth, Observed: depth})
-			}
-			if err := countNode(); err != nil {
-				return nil, err
-			}
-			e := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				// Drop namespace declarations; keep everything else by
-				// local name, which matches the paper's assumption of a
-				// common schema without namespace games.
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
+		switch kind {
+		case StartToken:
+			e := a.node()
+			e.Kind, e.Name, e.Parent, e.ID = ElementNode, tz.Name(), cur, tz.ID()
+			if n := len(tz.attrs); n > 0 {
+				e.Attrs = tz.AppendAttrs(a.attrList(n))
+				if len(e.Attrs) == 0 {
+					e.Attrs = nil
 				}
-				e.Attrs = append(e.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
 			}
 			if cur == nil {
-				if root != nil {
-					return nil, errors.New("xmltree: parse: multiple root elements")
-				}
 				root = e
 			} else {
-				cur.AppendChild(e)
+				kids = append(kids, e)
 			}
+			first = append(first, len(kids))
 			cur = e
-		case xml.EndElement:
-			if cur == nil {
-				return nil, errors.New("xmltree: parse: unbalanced end element")
-			}
+		case EndToken:
+			k := first[len(first)-1]
+			first = first[:len(first)-1]
+			cur.Children = a.children(kids[k:])
+			kids = kids[:k]
 			cur = cur.Parent
-			depth--
-		case xml.CharData:
-			s := string(t)
-			if cur == nil {
-				// Whitespace around the root is insignificant, but any
-				// other content outside the root element means the input
-				// is not a well-formed single document.
-				if root != nil && strings.TrimSpace(s) != "" {
-					return nil, errors.New("xmltree: parse: non-whitespace content after root element")
-				}
+		case TextToken:
+			if tz.Merged() {
+				last := kids[len(kids)-1]
+				last.Data += string(tz.Text())
 				continue
 			}
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			// Merge adjacent character data (the decoder may split
-			// around entity references).
-			if k := len(cur.Children); k > 0 && cur.Children[k-1].Kind == TextNode {
-				cur.Children[k-1].Data += s
-				continue
-			}
-			if err := countNode(); err != nil {
-				return nil, err
-			}
-			cur.AppendChild(NewText(s))
+			n := a.node()
+			n.Kind, n.Data, n.Parent, n.ID = TextNode, string(tz.Text()), cur, tz.ID()
+			kids = append(kids, n)
 		}
 	}
-	if root == nil {
-		return nil, errors.New("xmltree: parse: empty document")
+}
+
+// arena hands out nodes and capped slices from chunked allocations.
+type arena struct {
+	nodes []Node
+	ptrs  []*Node
+	attrs []Attr
+}
+
+const arenaChunk = 512
+
+func (a *arena) node() *Node {
+	if len(a.nodes) == 0 {
+		a.nodes = make([]Node, arenaChunk)
 	}
-	if cur != nil {
-		return nil, errors.New("xmltree: parse: unexpected EOF inside element")
+	n := &a.nodes[0]
+	a.nodes = a.nodes[1:]
+	return n
+}
+
+// children returns a copy of src, or nil if it is empty.
+func (a *arena) children(src []*Node) []*Node {
+	n := len(src)
+	if n == 0 {
+		return nil
 	}
-	return NewDocument(root), nil
+	if n > len(a.ptrs) {
+		if n > arenaChunk {
+			return append([]*Node(nil), src...)
+		}
+		a.ptrs = make([]*Node, 4*arenaChunk)
+	}
+	out := a.ptrs[:n:n]
+	a.ptrs = a.ptrs[n:]
+	copy(out, src)
+	return out
+}
+
+// attrList returns an empty attribute list with capacity n.
+func (a *arena) attrList(n int) []Attr {
+	if n > len(a.attrs) {
+		if n > arenaChunk {
+			return make([]Attr, 0, n)
+		}
+		a.attrs = make([]Attr, arenaChunk)
+	}
+	out := a.attrs[:0:n]
+	a.attrs = a.attrs[n:]
+	return out
 }
 
 // ParseString parses an XML document held in a string.

@@ -1,7 +1,12 @@
 // Package xmltree implements the XML document model SXNM operates on:
 // an ordered tree of element and text nodes with parent links,
-// attributes, document-order identifiers, parsing (on top of
-// encoding/xml) and serialization.
+// attributes, document-order identifiers, parsing and serialization.
+//
+// Parsing runs on Tokenizer, a byte-level pull tokenizer that reads
+// through a bounded window. It is shared with streaming key generation
+// (core.GenerateKeysStream), so both number nodes and enforce limits
+// identically. encoding/xml, which it replaced, is kept only in tests,
+// as the differential oracle.
 //
 // The model is deliberately small — namespaces are flattened to local
 // names, comments and processing instructions are dropped — because the
