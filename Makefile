@@ -80,6 +80,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzPairKey -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz FuzzBoundSoundness -fuzztime $(FUZZTIME) ./internal/similarity
+	$(GO) test -run '^$$' -fuzz FuzzOverlapSortedMatchesOverlap -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz FuzzMergeInvariants -fuzztime $(FUZZTIME) ./internal/extsort
 	$(GO) test -run '^$$' -fuzz FuzzSpillRowCodec -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardPlan$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -847,15 +848,18 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			}
 			src = s
 		} else {
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return gkRowLess(&t.Rows[order[a]], &t.Rows[order[b]], k)
-			})
+			sortPass(order, t.Rows, k)
 			src = &memSource{t: t, order: order}
 		}
 		if nShards == 0 {
+			// Within one pass each pair is enumerated at most once (EIDs
+			// are unique per table), so the compared set only matters
+			// across passes: it is read only when an earlier pass or a
+			// resume filled it, and written only while a later pass
+			// remains. A single-pass candidate never touches it.
+			readCompared := len(compared) > 0
+			writeCompared := pass+1 < len(keys)
+			ops := comparedOps
 			i := -1
 			for {
 				row, err := src.next()
@@ -887,11 +891,20 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 					if err := bud.poll(cstats.WindowPairs); err != nil {
 						return interruptPass(err)
 					}
-					key := packPair(a.EID, b.EID)
-					if _, seen := compared[key]; seen {
-						continue
+					if readCompared || writeCompared {
+						if ops != nil {
+							*ops++
+						}
+						key := packPair(a.EID, b.EID)
+						if readCompared {
+							if _, seen := compared[key]; seen {
+								continue
+							}
+						}
+						if writeCompared {
+							compared[key] = struct{}{}
+						}
 					}
-					compared[key] = struct{}{}
 					if err := bud.addComparison(); err != nil {
 						return interruptPass(err)
 					}
@@ -1085,25 +1098,38 @@ func resolveDescClusters(t *GKTable, clusters map[string]*cluster.ClusterSet) {
 // resolveRowDescClusters is resolveDescClusters for a single row; the
 // spill path calls it as each row is decoded from a run file, so
 // streamed rows carry the same l_e lists as resident ones.
+//
+// The lists come out sorted by name, each cluster-ID list ascending and
+// all of them sharing one backing array, so a pair's descendant
+// similarity is a merge walk with no per-pair allocation.
 func resolveRowDescClusters(row *GKRow, clusters map[string]*cluster.ClusterSet) {
 	row.descClusters = nil
 	if len(row.Desc) == 0 {
 		return
 	}
-	row.descClusters = make(map[string][]int, len(row.Desc))
+	n := 0
+	for _, eids := range row.Desc {
+		n += len(eids)
+	}
+	lists := make([]descList, 0, len(row.Desc))
+	cids := make([]int, 0, n)
 	for name, eids := range row.Desc {
 		cs, ok := clusters[name]
 		if !ok {
 			continue // descendant candidate was not processed (should not happen bottom-up)
 		}
-		cids := make([]int, 0, len(eids))
+		start := len(cids)
 		for _, eid := range eids {
 			if cid, ok := cs.CID(eid); ok {
 				cids = append(cids, cid)
 			}
 		}
-		row.descClusters[name] = cids
+		list := cids[start:len(cids):len(cids)]
+		slices.Sort(list)
+		lists = append(lists, descList{name: name, cids: list})
 	}
+	slices.SortFunc(lists, func(x, y descList) int { return strings.Compare(x.name, y.name) })
+	row.descClusters = lists
 }
 
 // comparePair computes OD similarity (Def. 2), descendant similarity
@@ -1177,33 +1203,48 @@ func aggregateFieldSims(fields []similarity.ODField, sims []float64) float64 {
 // false) and classification falls back to the OD alone, matching the
 // paper's leaf-node rule.
 func descendantSimilarity(a, b *GKRow) (float64, bool) {
-	if a.descClusters == nil && b.descClusters == nil {
-		return 0, false
-	}
-	types := make(map[string]struct{}, len(a.descClusters)+len(b.descClusters))
-	for name := range a.descClusters {
-		types[name] = struct{}{}
-	}
-	for name := range b.descClusters {
-		types[name] = struct{}{}
-	}
-	names := make([]string, 0, len(types))
-	for name := range types {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sims []float64
-	for _, name := range names {
-		la, lb := a.descClusters[name], b.descClusters[name]
-		if len(la) == 0 && len(lb) == 0 {
+	return walkDescTypes(a.descClusters, b.descClusters, func(x, y *descList) float64 {
+		return similarity.OverlapSorted(x.cids, y.cids)
+	})
+}
+
+// noDesc stands in for a descendant type one side of a pair lacks: the
+// empty multiset, interned as SetID 0.
+var noDesc descList
+
+// walkDescTypes folds overlap over the union of two rows' descendant
+// types in name order — a merge walk of the name-sorted lists, where a
+// type only one side has meets noDesc. Types empty on both sides are
+// skipped. The per-type values are summed in name order and divided by
+// their count, exactly as similarity.Average does over a slice, so the
+// float result is bit-identical to it.
+func walkDescTypes(a, b []descList, overlap func(x, y *descList) float64) (float64, bool) {
+	var sum float64
+	n := 0
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		x, y := &noDesc, &noDesc
+		switch {
+		case j == len(b) || (i < len(a) && a[i].name < b[j].name):
+			x = &a[i]
+			i++
+		case i == len(a) || b[j].name < a[i].name:
+			y = &b[j]
+			j++
+		default:
+			x, y = &a[i], &b[j]
+			i++
+			j++
+		}
+		if len(x.cids) == 0 && len(y.cids) == 0 {
 			continue
 		}
-		sims = append(sims, similarity.Overlap(la, lb))
+		sum += overlap(x, y)
+		n++
 	}
-	if len(sims) == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	return similarity.Average(sims), true
+	return sum / float64(n), true
 }
 
 // internDescSets interns every row's descendant cluster-ID lists so
@@ -1219,49 +1260,21 @@ func internDescSets(t *GKTable, c *similarity.Cache) {
 // content-keyed in the cache, so the assignment order (table sweep vs
 // spill decode order) never changes a similarity result.
 func internRowDescSets(row *GKRow, c *similarity.Cache) {
-	row.descSets = nil
-	if row.descClusters == nil {
-		return
-	}
-	row.descSets = make(map[string]similarity.SetID, len(row.descClusters))
-	for name, list := range row.descClusters {
-		row.descSets[name] = c.InternDesc(list)
+	for i := range row.descClusters {
+		l := &row.descClusters[i]
+		l.set = c.InternDesc(l.cids)
 	}
 }
 
 // descendantSimilarityCached is descendantSimilarity over interned
-// SetIDs: same type union, same ordering, same both-empty skip, with
-// each per-type overlap served by the cache. A missing descSets entry
-// is the empty multiset (SetID 0), matching the nil-list semantics of
-// the uncached path, so the aggregated float is bit-identical.
+// SetIDs: same type walk, same both-empty skip, with each per-type
+// overlap served by the cache. A type one side lacks is the empty
+// multiset (SetID 0), matching the uncached path, so the aggregated
+// float is bit-identical.
 func descendantSimilarityCached(c *similarity.Cache, a, b *GKRow) (float64, bool) {
-	if a.descClusters == nil && b.descClusters == nil {
-		return 0, false
-	}
-	types := make(map[string]struct{}, len(a.descClusters)+len(b.descClusters))
-	for name := range a.descClusters {
-		types[name] = struct{}{}
-	}
-	for name := range b.descClusters {
-		types[name] = struct{}{}
-	}
-	names := make([]string, 0, len(types))
-	for name := range types {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sims []float64
-	for _, name := range names {
-		la, lb := a.descClusters[name], b.descClusters[name]
-		if len(la) == 0 && len(lb) == 0 {
-			continue
-		}
-		sims = append(sims, c.OverlapIDs(a.descSets[name], b.descSets[name]))
-	}
-	if len(sims) == 0 {
-		return 0, false
-	}
-	return similarity.Average(sims), true
+	return walkDescTypes(a.descClusters, b.descClusters, func(x, y *descList) float64 {
+		return c.OverlapIDs(x.set, y.set)
+	})
 }
 
 // decide applies the candidate's classification rule.
@@ -1278,6 +1291,11 @@ func decide(c *config.Candidate, odSim, descSim float64, hasDesc bool) bool {
 		return similarity.Combine(odSim, descSim, c.ODWeight, hasDesc) >= c.Threshold
 	}
 }
+
+// comparedOps, when non-nil, counts the window pairs for which the
+// sequential sweep touched the compared set; tests set it to pin the
+// gating in detectCandidate. The sweep reads it once per pass.
+var comparedOps *int
 
 func packPair(a, b int) uint64 {
 	if a > b {

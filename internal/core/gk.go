@@ -26,15 +26,11 @@ type GKRow struct {
 	OD   [][]string
 	Desc map[string][]int
 
-	// descClusters caches, per descendant candidate name, the cluster
-	// IDs corresponding to Desc once the descendant's cluster set is
-	// known; filled in by the engine before the candidate's own passes.
-	descClusters map[string][]int
-
-	// descSets holds the interned SetID of each descClusters list when
-	// the run uses a similarity cache (Options.SimCache); absence of a
-	// name means the empty multiset (SetID 0).
-	descSets map[string]similarity.SetID
+	// descClusters caches, per descendant candidate name, the sorted
+	// cluster IDs corresponding to Desc once the descendant's cluster
+	// set is known; filled in by the engine before the candidate's own
+	// passes. Sorted by name, so descendant similarity is a merge walk.
+	descClusters []descList
 
 	// odSketch holds, per OD field with the edit measure, one
 	// ValueSketch per value (nil entries for other fields); prepared by
@@ -44,6 +40,16 @@ type GKRow struct {
 	// spilled row is decoded.
 	odSketch [][]similarity.ValueSketch
 	sketched bool
+}
+
+// descList is one descendant type's l_e list (Def. 3): the descendant
+// candidate name, the row's descendant cluster IDs in ascending order,
+// and their interned SetID when the run uses a similarity cache
+// (Options.SimCache; SetID 0, the empty multiset, otherwise).
+type descList struct {
+	name string
+	cids []int
+	set  similarity.SetID
 }
 
 // GKTable is the GK_s relation for one candidate plus the resolved OD

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/config"
@@ -216,12 +215,7 @@ func runShardedPass(env *shardEnv, pass, want int, swSpan, passSpan *obs.Span) e
 		}
 	} else {
 		order := env.order
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return gkRowLess(&env.t.Rows[order[a]], &env.t.Rows[order[b]], pass)
-		})
+		sortPass(order, env.t.Rows, pass)
 		open = func(sr shardRange) (rowSource, error) {
 			return &memSource{t: env.t, order: order[sr.haloStart:sr.end]}, nil
 		}

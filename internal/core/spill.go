@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,15 +31,37 @@ import (
 // are exactly those of the in-memory path, which is what makes the
 // differential suite's byte-identical claim hold.
 
-// gkRowLess is THE sort order of one key pass — byte-wise comparison
-// of the pass key with ties broken by element ID. EIDs are unique per
-// table, so this is a total order: the in-memory sort, the run-file
-// writer, and the k-way merge all produce the identical permutation.
-func gkRowLess(a, b *GKRow, pass int) bool {
-	if a.Keys[pass] != b.Keys[pass] {
-		return a.Keys[pass] < b.Keys[pass]
+// gkRowCompare is THE sort order of one key pass — byte-wise
+// comparison of the pass key with ties broken by element ID. EIDs are
+// unique per table, so this is a total order: the in-memory sort, the
+// run-file writer, and the k-way merge all produce the identical
+// permutation.
+func gkRowCompare(a, b *GKRow, pass int) int {
+	if c := strings.Compare(a.Keys[pass], b.Keys[pass]); c != 0 {
+		return c
 	}
-	return a.EID < b.EID
+	return cmp.Compare(a.EID, b.EID)
+}
+
+// gkRowLess is gkRowCompare as a less function (the extsort seam).
+func gkRowLess(a, b *GKRow, pass int) bool {
+	return gkRowCompare(a, b, pass) < 0
+}
+
+// sortPass fills order with the permutation that sorts rows for key
+// pass. The comparator is a total order, so the unstable sort yields
+// the permutation a stable sort would; the final row-index tiebreak
+// keeps that true even for a table that breaks the unique-EID rule.
+func sortPass(order []int, rows []GKRow, pass int) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := gkRowCompare(&rows[a], &rows[b], pass); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // rowSource feeds one key pass's sorted rows to the sliding window.

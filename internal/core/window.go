@@ -66,6 +66,7 @@ type sweeper struct {
 	compare func(*pairVerdict)
 	merge   func(*pairVerdict) error
 	batch   []pairVerdict
+	inline  pairVerdict // the workers == 0 path's one in-flight pair
 	// shipPanics delivers a worker panic to merge as verdict data
 	// (v.panicked set) instead of re-raising it here. Shard workers set
 	// it: their enumerating goroutine has no candidate-level recover, so
@@ -95,12 +96,15 @@ func (s *sweeper) add(a, b *GKRow) error {
 // batching machinery.
 func (s *sweeper) addVerdict(v pairVerdict) error {
 	if s.workers == 0 {
+		// Compare in the sweeper's own slot: taking v's address would
+		// move every pair's verdict to the heap.
+		s.inline = v
 		if s.shipPanics {
-			s.compareSafe(&v)
+			s.compareSafe(&s.inline)
 		} else {
-			s.compare(&v)
+			s.compare(&s.inline)
 		}
-		return s.merge(&v)
+		return s.merge(&s.inline)
 	}
 	s.batch = append(s.batch, v)
 	if len(s.batch) >= pairBatchSize {

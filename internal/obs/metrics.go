@@ -77,8 +77,10 @@ type Metrics struct {
 	ResumedCandidates atomic.Int64 // candidates adopted from a checkpoint
 	ResumedPairs      atomic.Int64 // duplicate pairs seeded from a checkpoint
 
-	startOnce sync.Once
-	start     time.Time
+	// start is the rate baseline, published once by MarkStart; a
+	// pointer keeps the monotonic clock reading and lets Elapsed read it
+	// from any goroutine without a lock.
+	start atomic.Pointer[time.Time]
 }
 
 // MarkStart pins the rate baseline; the engine calls it when detection
@@ -87,15 +89,20 @@ func (m *Metrics) MarkStart() {
 	if m == nil {
 		return
 	}
-	m.startOnce.Do(func() { m.start = time.Now() })
+	now := time.Now()
+	m.start.CompareAndSwap(nil, &now)
 }
 
 // Elapsed returns the time since MarkStart (0 before it).
 func (m *Metrics) Elapsed() time.Duration {
-	if m == nil || m.start.IsZero() {
+	if m == nil {
 		return 0
 	}
-	return time.Since(m.start)
+	start := m.start.Load()
+	if start == nil {
+		return 0
+	}
+	return time.Since(*start)
 }
 
 // SampleHeap reads the live heap size from runtime/metrics (far

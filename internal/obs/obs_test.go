@@ -273,6 +273,41 @@ func TestNilMetricsMethods(t *testing.T) {
 	}
 }
 
+// TestMarkStartElapsedConcurrent races MarkStart against Elapsed (as
+// the engine and a progress reporter do); run under -race it proves the
+// start time is published safely, and that the first MarkStart wins.
+func TestMarkStartElapsedConcurrent(t *testing.T) {
+	var m Metrics
+	if m.Elapsed() != 0 {
+		t.Fatal("elapsed before MarkStart != 0")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			m.MarkStart()
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				if m.Elapsed() < 0 {
+					t.Error("negative elapsed")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	first := m.start.Load()
+	m.MarkStart()
+	if m.start.Load() != first {
+		t.Error("second MarkStart moved the baseline")
+	}
+	if m.Elapsed() < 0 {
+		t.Error("negative elapsed after MarkStart")
+	}
+}
+
 func TestSampleHeapTracksPeak(t *testing.T) {
 	var m Metrics
 	m.SampleHeap()

@@ -427,7 +427,6 @@ func (s *Server) adoptJob(ent spoolEntry, now time.Time) {
 		s.spool.renewLease(ent.id, s.owner, epoch, now, true)
 		return
 	}
-	s.journalAppend(j, JobEvent{Type: EventQueued})
 	s.Met.JobsResumed.Add(1)
 	s.cfg.Logf("spool: adopted job %s (epoch %d, submitted %s)", ent.id, epoch, ent.rec.Submitted.Format(time.RFC3339))
 }
@@ -669,7 +668,6 @@ func (s *Server) Submit(req *JobRequest) (*job, *apiError) {
 	s.attachJournal(j)
 	s.journalAppend(j, JobEvent{Type: EventAdmitted, Time: j.submitted})
 	s.enqueueLocked(j)
-	s.journalAppend(j, JobEvent{Type: EventQueued})
 	s.Met.JobsAccepted.Add(1)
 	s.mu.Unlock()
 	return j, nil
@@ -702,15 +700,20 @@ func (s *Server) enqueueLocked(j *job) {
 	}
 }
 
+// tryEnqueueLocked journals the queued event and puts j on the run
+// queue, or reports false when the queue is full. The event is written
+// before the send: a worker may dequeue j and journal its attempt-start
+// the moment it is on the queue. This is the queue's only send and runs
+// under s.mu, so a slot free at the check is still free at the send.
 func (s *Server) tryEnqueueLocked(j *job) bool {
+	if len(s.queue) == cap(s.queue) {
+		return false
+	}
 	j.mu.Lock()
 	j.enqueued = time.Now().UTC()
 	j.mu.Unlock()
-	select {
-	case s.queue <- j:
-	default:
-		return false
-	}
+	s.journalAppend(j, JobEvent{Type: EventQueued})
+	s.queue <- j
 	s.jobs[j.id] = j
 	s.tenants[j.req.Tenant]++
 	j.counted = true
