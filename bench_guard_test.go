@@ -45,7 +45,7 @@ const (
 	benchFilterSpeedup = 2.0
 )
 
-// measureWindowSweep runs each sweep case — the worker/cache matrix
+// measureWindowSweep runs each sweep case — the worker/filter matrix
 // plus the external-sort spill matrix — through testing.Benchmark
 // (default 1s benchtime) and returns ns/op keyed by case name. Each
 // case takes the best of two rounds: the sweep is deterministic CPU
@@ -53,14 +53,13 @@ const (
 // is scheduler noise — single samples on busy machines drift far more
 // than the regression tolerance.
 func measureWindowSweep() map[string]float64 {
-	out := make(map[string]float64, len(windowSweepCases)+len(spillSweepCases)+len(shardSweepCases))
+	out := make(map[string]float64, len(windowSweepCases)+len(spillSweepCases))
 	for round := 0; round < 2; round++ {
 		cases := append([]struct {
 			name string
 			opts core.Options
 		}{}, windowSweepCases...)
 		cases = append(cases, spillSweepCases...)
-		cases = append(cases, shardSweepCases...)
 		for _, c := range cases {
 			opts := c.opts
 			r := testing.Benchmark(func(b *testing.B) { benchWindowSweep(b, opts) })
@@ -144,11 +143,6 @@ func TestBenchGuard(t *testing.T) {
 			spilled[c.name] = true
 		}
 	}
-	for _, c := range shardSweepCases {
-		if c.opts.SpillThresholdRows > 0 {
-			spilled[c.name] = true
-		}
-	}
 	for name := range measured {
 		want, ok := base[name].(float64)
 		if !ok {
@@ -171,20 +165,6 @@ func TestBenchGuard(t *testing.T) {
 	if off, seq := measured["spill-off"], measured["seq"]; off > seq*(1+benchTolerance) {
 		t.Errorf("spill-off sweep %.0f ns/op is %.0f%% over the plain sequential %.0f",
 			off, (off/seq-1)*100, seq)
-	}
-	// The shard coordination tax must stay bounded: a single-shard run
-	// takes the full planner/worker/replay machinery over one range, so
-	// its drift from the sequential sweep is pure overhead and may not
-	// exceed the regression tolerance. On one CPU the worker and the
-	// replaying coordinator cannot pipeline — every batch handoff is a
-	// forced context switch — so the bar only means something with ≥2.
-	if procs := runtime.GOMAXPROCS(0); procs >= 2 {
-		if one, seq := measured["shards1"], measured["seq"]; one > seq*(1+benchTolerance) {
-			t.Errorf("shards1 sweep %.0f ns/op is %.0f%% over the plain sequential %.0f",
-				one, (one/seq-1)*100, seq)
-		}
-	} else {
-		t.Logf("skipping shards1 overhead assertion: only %d usable CPU(s)", procs)
 	}
 	if procs := runtime.GOMAXPROCS(0); procs >= 4 {
 		speedup := measured["seq"] / measured["workers4"]

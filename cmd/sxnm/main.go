@@ -21,14 +21,13 @@
 // crash resumes from the last durable state instead of starting over.
 // A checkpoint recorded for a different config or input is refused.
 //
-// Performance: -pair-workers N parallelizes the window sweep inside
-// each key pass (default: all cores; 0 restores the single-threaded
-// sweep), -shards N splits each pass's sorted table into N contiguous
-// ranges swept concurrently with window-sized halo overlap (-1 = one
-// per core), and -sim-cache memoizes similarity computations per
-// candidate (-sim-cache-size bounds it). All are answer-preserving:
-// clusters, statistics, checkpoints, and reports are byte-identical
-// to the sequential, uncached run.
+// Performance: -filter (default on) runs the threshold-aware classify
+// path, which skips pairs that provably cannot be duplicates, and
+// -pair-workers N parallelizes the window sweep inside each key pass
+// (default: all cores; 0 restores the single-threaded sweep). Both
+// are answer-preserving: clusters are identical to the unfiltered
+// sequential run, and -pair-workers leaves statistics, checkpoints,
+// and reports byte-identical too.
 //
 // Memory: -spill-rows N external-sorts any candidate with more than N
 // GK rows through checksummed run files on disk (in -spill-dir, or a
@@ -114,9 +113,6 @@ func run(args []string) error {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof and /debug/vars on this address for the run's duration")
 		useFilter  = fs.Bool("filter", true, "threshold-aware comparison fast path: sketch bounds + banded edit distance skip hopeless pairs (identical clusters; skipped pairs count as filtered, not compared)")
 		pairWork   = fs.Int("pair-workers", -1, "window-sweep comparison goroutines per pass (-1 = all cores, 0 = sequential); results are identical either way")
-		shards     = fs.Int("shards", 0, "split each key pass into this many window ranges swept concurrently (-1 = one per core, 0 = off); results are identical either way")
-		simCache   = fs.Bool("sim-cache", false, "memoize similarity computations per candidate (identical results; helps on repetitive values and multi-key configs)")
-		simCacheN  = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
 		spillRows  = fs.Int("spill-rows", 0, "external-sort candidates with more rows than this instead of sorting in memory (0 = always in memory); results are identical either way")
 		spillDir   = fs.String("spill-dir", "", "directory for spill run files, reused across resumed runs (default: a temp dir, removed afterwards)")
 	)
@@ -157,9 +153,6 @@ func run(args []string) error {
 		Observer:           o.ob,
 		UseFilter:          *useFilter,
 		PairWorkers:        *pairWork,
-		Shards:             *shards,
-		SimCache:           *simCache,
-		SimCacheSize:       *simCacheN,
 		SpillThresholdRows: *spillRows,
 		SpillDir:           *spillDir,
 	})

@@ -10,7 +10,9 @@
 // section for the full API. The spool directory is the daemon's
 // durable state: every admitted job lives there until it reaches a
 // terminal state, together with its engine checkpoint, spill files,
-// run report, and final metrics.
+// run report, and final metrics. Every job runs the threshold-aware
+// filtered classify path that sxnm uses by default (-filter=true): its
+// clusters are identical to the unfiltered run's.
 //
 // Robustness model:
 //
@@ -113,9 +115,6 @@ func run(args []string, ready chan<- string) error {
 		journalBytes = fs.Int64("journal-max-bytes", 1<<20, "per-job journal size soft cap; past it checkpoint-progress events are dropped (negative = unbounded)")
 
 		pairWork  = fs.Int("pair-workers", -1, "window-sweep goroutines per job (-1 = all cores, 0 = sequential)")
-		shards    = fs.Int("shards", 0, "split each key pass into this many concurrently swept window ranges (-1 = one per core, 0 = off)")
-		simCache  = fs.Bool("sim-cache", true, "share similarity memo caches across jobs of the same config")
-		simSize   = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
 		spillRows = fs.Int("spill-rows", 0, "external-sort candidates above this many GK rows (0 = in-memory)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -157,10 +156,8 @@ func run(args []string, ready chan<- string) error {
 			MaxComparisons: *maxCmp,
 		},
 		Engine: sxnm.Options{
+			UseFilter:          true,
 			PairWorkers:        *pairWork,
-			Shards:             *shards,
-			SimCache:           *simCache,
-			SimCacheSize:       *simSize,
 			SpillThresholdRows: *spillRows,
 		},
 		Logf: logger.Printf,

@@ -196,6 +196,11 @@ func TestDaemonSmokeSIGTERMRestart(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// sxnmd runs the filtered classify path, as sxnm does by default.
+	stats, _ := getStatus(t, base2, submitted.ID)["stats"].(map[string]any)
+	if f, _ := stats["filtered_out"].(float64); f <= 0 {
+		t.Errorf("resumed job's stats report no filtered pairs: %v", stats)
+	}
 	resp, err = http.Get(base2 + "/v1/jobs/" + submitted.ID + "/clusters")
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func referenceSweep(t *testing.T, tab *GKTable, prog *CandidateProgress, opts Op
 					continue
 				}
 				compared[key] = struct{}{}
-				odSim, descSim, hasDesc, dup, filtered, err := comparePair(tab, a, row, false, opts, nil)
+				odSim, descSim, hasDesc, dup, filtered, err := comparePair(tab, a, row, false, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,7 +214,7 @@ func TestComparedSetGatingMatchesReference(t *testing.T) {
 				if tc.noOps && ops != 0 {
 					t.Errorf("compared-set operations = %d, want none", ops)
 				}
-				if !tc.noOps && ops == 0 && forcedShardCount == 0 {
+				if !tc.noOps && ops == 0 {
 					t.Error("compared set never consulted where a pair can repeat")
 				}
 			})
@@ -256,7 +256,7 @@ func TestGKTablesHaveUniqueEIDs(t *testing.T) {
 			checkUniqueEIDs(t, c.name+"/tree/"+name, tab.Rows)
 			checkUniqueEIDs(t, c.name+"/stream/"+name, stream.Tables[name].Rows)
 			st := newSpillState(Options{SpillThresholdRows: 3, SpillDir: t.TempDir()}, nil)
-			sp := newCandSpiller(st, tab, false, nil, nil)
+			sp := newCandSpiller(st, tab, false, nil)
 			for pass := range tab.Candidate.CompiledKeys() {
 				src, err := sp.source(pass, nil, newBudget(context.Background(), Limits{}))
 				if err != nil {

@@ -15,7 +15,7 @@ import (
 // name-sorted lists replaced: resolve each type's l_e list into a map,
 // take the union of type names, sort it, skip types empty on both
 // sides, and average the map-based Overlap. It is the oracle for
-// descendantSimilarity and descendantSimilarityCached.
+// descendantSimilarity.
 func descendantSimilarityMap(a, b *GKRow, clusters map[string]*cluster.ClusterSet) (float64, bool) {
 	la, lb := resolveDescMap(a, clusters), resolveDescMap(b, clusters)
 	if la == nil && lb == nil {
@@ -91,9 +91,9 @@ func descTestClusters() map[string]*cluster.ClusterSet {
 	}
 }
 
-// checkDescSim resolves both rows, then checks the uncached and cached
-// slice walks against the map oracle, bit for bit.
-func checkDescSim(t *testing.T, label string, a, b GKRow, clusters map[string]*cluster.ClusterSet, cache *similarity.Cache) {
+// checkDescSim resolves both rows, then checks the slice walk against
+// the map oracle, bit for bit.
+func checkDescSim(t *testing.T, label string, a, b GKRow, clusters map[string]*cluster.ClusterSet) {
 	t.Helper()
 	wantSim, wantHas := descendantSimilarityMap(&a, &b, clusters)
 	resolveRowDescClusters(&a, clusters)
@@ -102,17 +102,10 @@ func checkDescSim(t *testing.T, label string, a, b GKRow, clusters map[string]*c
 	if gotHas != wantHas || math.Float64bits(gotSim) != math.Float64bits(wantSim) {
 		t.Errorf("%s: descendantSimilarity = (%v, %v), map oracle (%v, %v)", label, gotSim, gotHas, wantSim, wantHas)
 	}
-	internRowDescSets(&a, cache)
-	internRowDescSets(&b, cache)
-	gotSim, gotHas = descendantSimilarityCached(cache, &a, &b)
-	if gotHas != wantHas || math.Float64bits(gotSim) != math.Float64bits(wantSim) {
-		t.Errorf("%s: descendantSimilarityCached = (%v, %v), map oracle (%v, %v)", label, gotSim, gotHas, wantSim, wantHas)
-	}
 }
 
 func TestDescendantSimilarityMatchesMapOracle(t *testing.T) {
 	clusters := descTestClusters()
-	cache := similarity.NewCache(0)
 	cases := []struct {
 		name string
 		a, b map[string][]int
@@ -131,8 +124,8 @@ func TestDescendantSimilarityMatchesMapOracle(t *testing.T) {
 			map[string][]int{"artist": {121}, "dtitle": {110, 114}, "title": {129, 101}}},
 	}
 	for _, tc := range cases {
-		checkDescSim(t, tc.name, GKRow{EID: 1, Desc: tc.a}, GKRow{EID: 2, Desc: tc.b}, clusters, cache)
-		checkDescSim(t, tc.name+"/swapped", GKRow{EID: 2, Desc: tc.b}, GKRow{EID: 1, Desc: tc.a}, clusters, cache)
+		checkDescSim(t, tc.name, GKRow{EID: 1, Desc: tc.a}, GKRow{EID: 2, Desc: tc.b}, clusters)
+		checkDescSim(t, tc.name+"/swapped", GKRow{EID: 2, Desc: tc.b}, GKRow{EID: 1, Desc: tc.a}, clusters)
 	}
 
 	// Random rows over the same universe: any mix of names, empty
@@ -157,7 +150,7 @@ func TestDescendantSimilarityMatchesMapOracle(t *testing.T) {
 		return d
 	}
 	for i := 0; i < 500; i++ {
-		checkDescSim(t, fmt.Sprintf("random-%d", i), GKRow{EID: 1, Desc: randDesc()}, GKRow{EID: 2, Desc: randDesc()}, clusters, cache)
+		checkDescSim(t, fmt.Sprintf("random-%d", i), GKRow{EID: 1, Desc: randDesc()}, GKRow{EID: 2, Desc: randDesc()}, clusters)
 	}
 }
 

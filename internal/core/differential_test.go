@@ -15,17 +15,16 @@ import (
 	"repro/internal/xmltree"
 )
 
-// The differential suite is the proof behind Options.PairWorkers and
-// Options.SimCache: every combination of worker count and cache state
-// must reproduce the sequential, uncached run exactly — cluster sets,
-// Stats (durations excluded — wall clock is the one thing that may
-// change), the full checkpoint callback stream, and every
+// The differential suite is the proof behind Options.PairWorkers: every
+// worker count must reproduce the sequential run exactly — cluster
+// sets, Stats (durations excluded — wall clock is the one thing that
+// may change), the full checkpoint callback stream, and every
 // PairObservation including its float64 similarities, compared with ==.
 
-// pairWorkerMatrix is the worker axis from the issue: 0 = the plain
-// sequential loop, 1 = the batching machinery on a single worker,
-// 4/16 = real shard-boundary interleavings (16 > batch/shard sizes on
-// these corpora, forcing tiny uneven shards).
+// pairWorkerMatrix is the worker axis: 0 = the plain sequential loop,
+// 1 = the batching machinery on a single worker, 4/16 = real
+// chunk-boundary interleavings (16 > batch/chunk sizes on these
+// corpora, forcing tiny uneven chunks).
 var pairWorkerMatrix = []int{0, 1, 4, 16}
 
 // runSnapshot is one Detect run reduced to its observable bytes.
@@ -120,8 +119,8 @@ func snapshotRunStats(t *testing.T, kg *KeyGenResult, cfg *config.Config, opts O
 	opts.PairObserver = po.observe
 	res, err := Detect(kg, cfg, opts)
 	if err != nil {
-		t.Fatalf("Detect(workers=%d cache=%v parallel=%v): %v",
-			opts.PairWorkers, opts.SimCache, opts.Parallel, err)
+		t.Fatalf("Detect(workers=%d parallel=%v): %v",
+			opts.PairWorkers, opts.Parallel, err)
 	}
 	snap := runSnapshot{
 		clusters:  make(map[string]string, len(res.Clusters)),
@@ -183,26 +182,25 @@ func differentialScenarios(t *testing.T) []differentialScenario {
 		adaptiveCfg.Candidates[i].AdaptiveKeySim = 0.85
 	}
 	return []differentialScenario{
-		// Single candidate, three keys: multi-pass revisits are the
-		// cache's bread and butter.
+		// Single candidate, three keys: multi-pass revisits exercise the
+		// compared set.
 		{name: "movies", doc: movies, cfg: mustValidate(t, config.DataSet1(5)), base: Options{}},
-		// Nested candidates with descendants: the interned-set Def. 3
-		// path, RuleEither, bottom-up ordering.
+		// Nested candidates with descendants: the Def. 3 path,
+		// RuleEither, bottom-up ordering.
 		{name: "cds", doc: cds, cfg: mustValidate(t, config.DataSet2(4)), base: Options{}},
 		// Generated corpus with the upper-bound filter: the filtered
 		// verdict path must merge identically too.
 		{name: "freedb-filter", doc: freedb.Generate(freedb.DefaultOptions(40, 3)),
 			cfg: mustValidate(t, cdConfig()), base: Options{UseFilter: true}},
-		// Adaptive windows: worker shards see data-dependent window
+		// Adaptive windows: worker chunks see data-dependent window
 		// extents.
 		{name: "movies-adaptive", doc: movies, cfg: mustValidate(t, adaptiveCfg), base: Options{}},
 	}
 }
 
 // TestDifferentialMatrix is the equivalence proof: PairWorkers ∈
-// {0,1,4,16} × SimCache ∈ {off,on} (plus candidate-level Parallel
-// composed on top) all reproduce the sequential uncached run
-// observable-for-observable.
+// {0,1,4,16} (plus candidate-level Parallel composed on top) all
+// reproduce the sequential run observable-for-observable.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, sc := range differentialScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
@@ -211,26 +209,17 @@ func TestDifferentialMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			baseline := snapshotRun(t, kg, sc.cfg, sc.base)
-			for _, workers := range pairWorkerMatrix {
-				for _, cache := range []bool{false, true} {
-					if workers == 0 && !cache {
-						continue // the baseline itself
-					}
-					opts := sc.base
-					opts.PairWorkers = workers
-					opts.SimCache = cache
-					label := fmt.Sprintf("workers=%d cache=%v", workers, cache)
-					diffSnapshots(t, label, baseline, snapshotRun(t, kg, sc.cfg, opts))
-				}
+			for _, workers := range pairWorkerMatrix[1:] {
+				opts := sc.base
+				opts.PairWorkers = workers
+				label := fmt.Sprintf("workers=%d", workers)
+				diffSnapshots(t, label, baseline, snapshotRun(t, kg, sc.cfg, opts))
 			}
-			// Candidate-level parallelism composed with both features,
-			// plus a deliberately tiny cache to force evictions mid-run.
+			// Candidate-level parallelism composed with the pair pool.
 			opts := sc.base
 			opts.Parallel = true
 			opts.PairWorkers = 4
-			opts.SimCache = true
-			opts.SimCacheSize = 64
-			diffSnapshots(t, "parallel+workers=4+tiny-cache", baseline, snapshotRun(t, kg, sc.cfg, opts))
+			diffSnapshots(t, "parallel+workers=4", baseline, snapshotRun(t, kg, sc.cfg, opts))
 		})
 	}
 }
@@ -256,11 +245,10 @@ func TestDifferentialInterrupted(t *testing.T) {
 		ckpt       map[string][]string
 		clusters   map[string]string
 	}
-	run := func(workers int, cache bool) partial {
+	run := func(workers int) partial {
 		rec := newRecordingCkpt()
 		opts := Options{
 			PairWorkers:  workers,
-			SimCache:     cache,
 			Checkpointer: rec,
 			Limits:       Limits{MaxComparisons: 700},
 		}
@@ -279,38 +267,13 @@ func TestDifferentialInterrupted(t *testing.T) {
 		}
 		return p
 	}
-	want := run(0, false)
+	want := run(0)
 	for _, workers := range pairWorkerMatrix[1:] {
-		for _, cache := range []bool{false, true} {
-			got := run(workers, cache)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d cache=%v: interrupted snapshot differs\nwant %+v\ngot  %+v",
-					workers, cache, want, got)
-			}
+		got := run(workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: interrupted snapshot differs\nwant %+v\ngot  %+v",
+				workers, want, got)
 		}
-	}
-}
-
-// TestDifferentialStatsIgnoreCache double-checks the layering rule
-// directly: cache counters live in obs metrics only, so Result.Stats
-// must not change byte-for-byte when the cache is enabled.
-func TestDifferentialStatsIgnoreCache(t *testing.T) {
-	doc := freedb.Generate(freedb.DefaultOptions(30, 9))
-	cfg := mustValidate(t, cdConfig())
-	kg, err := GenerateKeys(doc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Detect(kg, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := Detect(kg, cfg, Options{SimCache: true, SimCacheSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := normalizeStats(with.Stats), normalizeStats(without.Stats); got != want {
-		t.Errorf("SimCache leaked into Stats:\nwithout:\n%s\nwith:\n%s", want, got)
 	}
 }
 
@@ -405,12 +368,11 @@ func diffFilterSnapshots(t *testing.T, label string, slow, fast runSnapshot, slo
 }
 
 // TestDifferentialFilterMatrix is the filter-axis equivalence proof:
-// across every corpus, filters on × PairWorkers {0,4} × SimCache
-// {off,on} must reproduce the unfiltered run's clusters, checkpoints,
-// and folded Stats, with pair-level ODSim deviating only within the
-// licensed bound semantics — and all filters-on variants must be
-// bitwise identical to each other (the never-cache-capped-values and
-// order-independence guarantees).
+// across every corpus, filters on × PairWorkers {0,4} must reproduce
+// the unfiltered run's clusters, checkpoints, and folded Stats, with
+// pair-level ODSim deviating only within the licensed bound semantics
+// — and all filters-on variants must be bitwise identical to each
+// other (the order-independence guarantee).
 func TestDifferentialFilterMatrix(t *testing.T) {
 	for _, sc := range differentialScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
@@ -424,21 +386,18 @@ func TestDifferentialFilterMatrix(t *testing.T) {
 			var fastBase *runSnapshot
 			filteredTotal := 0
 			for _, workers := range []int{0, 4} {
-				for _, cache := range []bool{false, true} {
-					opts := sc.base
-					opts.UseFilter = true
-					opts.PairWorkers = workers
-					opts.SimCache = cache
-					label := fmt.Sprintf("filter workers=%d cache=%v", workers, cache)
-					got, gotStats := snapshotRunStats(t, kg, sc.cfg, opts)
-					diffFilterSnapshots(t, label, slow, got, slowStats, gotStats)
-					filteredTotal += gotStats.FilteredOut
-					if fastBase == nil {
-						base := got
-						fastBase = &base
-					} else {
-						diffSnapshots(t, label+" vs filters-on baseline", *fastBase, got)
-					}
+				opts := sc.base
+				opts.UseFilter = true
+				opts.PairWorkers = workers
+				label := fmt.Sprintf("filter workers=%d", workers)
+				got, gotStats := snapshotRunStats(t, kg, sc.cfg, opts)
+				diffFilterSnapshots(t, label, slow, got, slowStats, gotStats)
+				filteredTotal += gotStats.FilteredOut
+				if fastBase == nil {
+					base := got
+					fastBase = &base
+				} else {
+					diffSnapshots(t, label+" vs filters-on baseline", *fastBase, got)
 				}
 			}
 			// The corpora are dirty enough that a working filter must
@@ -470,12 +429,11 @@ func TestDifferentialFilterInterrupted(t *testing.T) {
 		ckpt       map[string][]string
 		clusters   map[string]string
 	}
-	run := func(useFilter bool, workers int, cache bool) partial {
+	run := func(useFilter bool, workers int) partial {
 		rec := newRecordingCkpt()
 		opts := Options{
 			UseFilter:    useFilter,
 			PairWorkers:  workers,
-			SimCache:     cache,
 			Checkpointer: rec,
 			Limits:       Limits{MaxComparisons: 700},
 		}
@@ -494,14 +452,12 @@ func TestDifferentialFilterInterrupted(t *testing.T) {
 		}
 		return p
 	}
-	want := run(false, 0, false)
+	want := run(false, 0)
 	for _, workers := range []int{0, 4} {
-		for _, cache := range []bool{false, true} {
-			got := run(true, workers, cache)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("filter workers=%d cache=%v: interrupted snapshot differs\nwant %+v\ngot  %+v",
-					workers, cache, want, got)
-			}
+		got := run(true, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("filter workers=%d: interrupted snapshot differs\nwant %+v\ngot  %+v",
+				workers, want, got)
 		}
 	}
 }

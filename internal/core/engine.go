@@ -91,44 +91,6 @@ type Options struct {
 	// sequential loop; 1 runs the batching machinery on one worker;
 	// negative means one worker per available CPU.
 	PairWorkers int
-	// Shards splits each key pass's sorted GK order into that many
-	// contiguous ranges swept concurrently. Each shard reads its owned
-	// range plus a halo of the preceding window-1 rows (widened to the
-	// adaptive cap) so boundary windows see full context; halo rows are
-	// never swept by the reading shard — every window pair is owned by
-	// exactly one shard, keyed by its current (right-hand) row. Shard
-	// event streams are replayed on the coordinating goroutine in
-	// global window order, so every observable — clusters, Stats,
-	// checkpoints, PairObserver calls, interrupted partial results — is
-	// byte-identical to the unsharded run (the differential suite in
-	// internal/core proves it). 0 (the zero value) disables sharding;
-	// 1 runs the full shard machinery over a single range (the
-	// differential anchor); negative means one shard per available CPU.
-	// Composes with PairWorkers (each shard runs its own pair-worker
-	// pool) and with spilling (shards range-read one shared external
-	// sort).
-	Shards int
-	// SimCache memoizes similarity computations per candidate, shared
-	// across that candidate's key passes: value-pair scores for the
-	// Def. 2 OD fields (LRU-bounded) and interned descendant cluster-ID
-	// sets so the Def. 3 overlap becomes a set-ID comparison. Every
-	// similarity function is pure, so results are byte-identical with
-	// the cache on or off; hit/miss/eviction counters surface through
-	// the Observer's metrics and report, never through Stats.
-	SimCache bool
-	// SimCacheSize bounds the value-pair entries held per candidate;
-	// 0 means DefaultSimCacheSize. Ignored unless SimCache is set.
-	SimCacheSize int
-	// SimCacheFor, when non-nil and SimCache is set, supplies the memo
-	// cache for a candidate instead of constructing a fresh one — the
-	// hook long-lived services use to share a warm cache across runs of
-	// the same configuration. The caller must only ever hand back a
-	// cache previously used for the same (configuration, candidate)
-	// pair: value-pair entries are keyed by OD field index, so caches
-	// must never cross configurations. Similarity functions are pure,
-	// so a warm cache changes CPU time and the obs counters only, never
-	// results. Returning nil falls back to a fresh per-run cache.
-	SimCacheFor func(candidate string) *similarity.Cache
 	// SpillThresholdRows bounds detection memory: candidates whose GK
 	// table exceeds this many rows sort each key pass with an external
 	// merge sort — bounded in-memory runs spilled to checksummed files
@@ -323,15 +285,6 @@ func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, op
 	// retroactively waived by the forced value.
 	if opts.SpillThresholdRows == 0 && forcedSpillThreshold > 0 {
 		opts.SpillThresholdRows = forcedSpillThreshold
-	}
-	// The smallshard build tag likewise forces sharded sweeps (the
-	// planner clamps the huge forced count to one row per shard); an
-	// explicit caller choice always wins.
-	if opts.Shards == 0 && forcedShardCount != 0 {
-		opts.Shards = forcedShardCount
-	}
-	if n := opts.shardCount(); n > 0 && m != nil {
-		m.ShardCount.Store(int64(n))
 	}
 	if opts.SpillThresholdRows > 0 {
 		st := newSpillState(opts, m)
@@ -573,24 +526,6 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	cstats := &CandidateStats{Rows: len(t.Rows)}
 	m := opts.Observer.Metrics() // nil when no (enabled) observer
 
-	// The similarity memo is per candidate and shared across its key
-	// passes — multi-pass windows revisit pairs, and dirty corpora
-	// repeat values. Purity of the similarity functions makes memoized
-	// results bit-identical to direct computation, so nothing observable
-	// changes; only the obs cache counters do.
-	var cache *similarity.Cache
-	if opts.SimCache {
-		if opts.SimCacheFor != nil {
-			cache = opts.SimCacheFor(cand.Name)
-		}
-		if cache == nil {
-			cache = similarity.NewCache(opts.SimCacheSize)
-		}
-	}
-	// A provider-supplied cache arrives warm: baseline its counters so
-	// this run's metrics and spans report deltas, not history.
-	baseCache := cache.Stats()
-
 	swStart := time.Now()
 	useDesc := cand.DescendantsEnabled() && !opts.DisableDescendants
 
@@ -604,14 +539,11 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 
 	var spiller *candSpiller
 	if st := opts.spill; st != nil && len(t.Rows) > st.threshold {
-		spiller = newCandSpiller(st, t, useDesc, clusters, cache)
+		spiller = newCandSpiller(st, t, useDesc, clusters)
 		spiller.sketch = fastFilter
 	}
 	if useDesc && spiller == nil {
 		resolveDescClusters(t, clusters)
-		if cache != nil {
-			internDescSets(t, cache)
-		}
 	}
 	if fastFilter && spiller == nil {
 		// Precompute the per-row value sketches once, before the sweep:
@@ -652,7 +584,6 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	var odCalls, descCalls int
 	var flushed CandidateStats
 	var flushedDups, flushedOD, flushedDesc int
-	flushedCache := baseCache
 	flushObs := func() {
 		if m == nil {
 			return
@@ -665,14 +596,6 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 		m.DescSimCalls.Add(int64(descCalls - flushedDesc))
 		flushed = *cstats
 		flushedDups, flushedOD, flushedDesc = len(pairs), odCalls, descCalls
-		if cache != nil {
-			st := cache.Stats()
-			m.SimCacheHits.Add(st.Hits - flushedCache.Hits)
-			m.SimCacheMisses.Add(st.Misses - flushedCache.Misses)
-			m.SimCacheEvictions.Add(st.Evictions - flushedCache.Evictions)
-			m.DescSetsInterned.Add(st.DescSets - flushedCache.DescSets)
-			flushedCache = st
-		}
 	}
 	swSpan := candSpan.Child(obs.SpanSlidingWindow, obs.String(obs.AttrCandidate, cand.Name))
 	// endPass closes one key pass: heap sample, per-pass span with the
@@ -713,9 +636,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	// a pass ends, so buffered verdicts never cross a pass boundary.
 	curPass := startPass
 	// mergeVerdict is the ordered half of one pair comparison: counters,
-	// observer callback, and the duplicate pair list. The sequential
-	// sweeper merges through it directly; the sharded sweep replays
-	// shard events through the same function in the same global order.
+	// observer callback, and the duplicate pair list.
 	mergeVerdict := func(v *pairVerdict) error {
 		if v.err != nil {
 			return v.err
@@ -750,7 +671,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	sw := newSweeper(opts.pairWorkerCount(),
 		func(v *pairVerdict) {
 			v.odSim, v.descSim, v.hasDesc, v.dup, v.filtered, v.err =
-				comparePair(t, v.a, v.b, useDesc, opts, cache)
+				comparePair(t, v.a, v.b, useDesc, opts)
 		},
 		mergeVerdict)
 
@@ -778,19 +699,8 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	if spiller == nil {
 		order = make([]int, len(t.Rows))
 	}
-	nShards := opts.shardCount()
-	var env *shardEnv
-	if nShards > 0 {
-		env = &shardEnv{
-			t: t, cand: cand, opts: opts, cache: cache, useDesc: useDesc,
-			w: w, keep: keep, spiller: spiller, order: order,
-			bud: bud, m: m, cstats: cstats, compared: compared,
-			flushObs: flushObs, merge: mergeVerdict,
-		}
-	}
 	for pass := startPass; pass < len(keys); pass++ {
 		curPass = pass
-		k := pass
 		passSpan := swSpan.Child(obs.SpanPass,
 			obs.String(obs.AttrCandidate, cand.Name), obs.Int(obs.AttrPass, pass))
 		// interruptPass funnels every budget seam through the one drain
@@ -817,19 +727,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			flush(pass)
 			return nil, cstats, &interruptError{cause: cause, phase: PhaseSlidingWindow, pass: pass}
 		}
-		if nShards > 0 {
-			// Sharded sweep: workers enumerate and compare their ranges,
-			// the coordinator replays the concatenated event streams in
-			// global window order. On any error the coordinator sweeper is
-			// empty and src is nil, so interruptPass degrades to the plain
-			// drain-free accounting sequence.
-			if err := runShardedPass(env, k, nShards, swSpan, passSpan); err != nil {
-				if isInterruption(err) {
-					return interruptPass(err)
-				}
-				return nil, nil, err
-			}
-		} else if spiller != nil {
+		if spiller != nil {
 			// The external sort does real I/O before the first pair is
 			// enumerated; check the budget around it so deadlines and
 			// cancellation interrupt a spilling pass about as fast as an
@@ -839,7 +737,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 					return interruptPass(err)
 				}
 			}
-			s, err := spiller.source(k, swSpan, bud)
+			s, err := spiller.source(pass, swSpan, bud)
 			if err != nil {
 				if isInterruption(err) {
 					return interruptPass(err)
@@ -848,80 +746,78 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			}
 			src = s
 		} else {
-			sortPass(order, t.Rows, k)
+			sortPass(order, t.Rows, pass)
 			src = &memSource{t: t, order: order}
 		}
-		if nShards == 0 {
-			// Within one pass each pair is enumerated at most once (EIDs
-			// are unique per table), so the compared set only matters
-			// across passes: it is read only when an earlier pass or a
-			// resume filled it, and written only while a later pass
-			// remains. A single-pass candidate never touches it.
-			readCompared := len(compared) > 0
-			writeCompared := pass+1 < len(keys)
-			ops := comparedOps
-			i := -1
-			for {
-				row, err := src.next()
-				if err != nil {
+		// Within one pass each pair is enumerated at most once (EIDs
+		// are unique per table), so the compared set only matters
+		// across passes: it is read only when an earlier pass or a
+		// resume filled it, and written only while a later pass
+		// remains. A single-pass candidate never touches it.
+		readCompared := len(compared) > 0
+		writeCompared := pass+1 < len(keys)
+		ops := comparedOps
+		i := -1
+		for {
+			row, err := src.next()
+			if err != nil {
+				src.close()
+				return nil, nil, err
+			}
+			if row == nil {
+				break
+			}
+			i++
+			ring.push(i, row)
+			if i == 0 {
+				continue
+			}
+			lo := i - (w - 1)
+			if lo < 0 {
+				lo = 0
+			}
+			if cand.AdaptiveKeySim > 0 {
+				lo = adaptiveLow(ring, row, i, lo, pass, cand)
+			}
+			for j := lo; j < i; j++ {
+				a, b := ring.at(j), row
+				cstats.WindowPairs++
+				if m != nil && cstats.WindowPairs&0xFFF == 0 {
+					flushObs()
+				}
+				if err := bud.poll(cstats.WindowPairs); err != nil {
+					return interruptPass(err)
+				}
+				if readCompared || writeCompared {
+					if ops != nil {
+						*ops++
+					}
+					key := packPair(a.EID, b.EID)
+					if readCompared {
+						if _, seen := compared[key]; seen {
+							continue
+						}
+					}
+					if writeCompared {
+						compared[key] = struct{}{}
+					}
+				}
+				if err := bud.addComparison(); err != nil {
+					return interruptPass(err)
+				}
+				if err := sw.add(a, b); err != nil {
 					src.close()
 					return nil, nil, err
 				}
-				if row == nil {
-					break
-				}
-				i++
-				ring.push(i, row)
-				if i == 0 {
-					continue
-				}
-				lo := i - (w - 1)
-				if lo < 0 {
-					lo = 0
-				}
-				if cand.AdaptiveKeySim > 0 {
-					lo = adaptiveLow(ring, row, i, lo, k, cand)
-				}
-				for j := lo; j < i; j++ {
-					a, b := ring.at(j), row
-					cstats.WindowPairs++
-					if m != nil && cstats.WindowPairs&0xFFF == 0 {
-						flushObs()
-					}
-					if err := bud.poll(cstats.WindowPairs); err != nil {
-						return interruptPass(err)
-					}
-					if readCompared || writeCompared {
-						if ops != nil {
-							*ops++
-						}
-						key := packPair(a.EID, b.EID)
-						if readCompared {
-							if _, seen := compared[key]; seen {
-								continue
-							}
-						}
-						if writeCompared {
-							compared[key] = struct{}{}
-						}
-					}
-					if err := bud.addComparison(); err != nil {
-						return interruptPass(err)
-					}
-					if err := sw.add(a, b); err != nil {
-						src.close()
-						return nil, nil, err
-					}
-				}
 			}
-			if err := src.close(); err != nil {
-				return nil, nil, err
-			}
-			// Drain before the pass is accounted: verdicts of buffered pairs
-			// belong to this pass's span, checkpoint, and counters.
-			if err := sw.finish(); err != nil {
-				return nil, nil, err
-			}
+		}
+		if err := src.close(); err != nil {
+			return nil, nil, err
+		}
+		// Drain before the pass is accounted: verdicts of buffered pairs
+		// belong to this pass's span, checkpoint, and counters.
+		if err := sw.finish(); err != nil {
+			return nil, nil, err
 		}
 		endPass(passSpan, false)
 		// A completed pass is a durable resume point; the final pass is
@@ -966,50 +862,12 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 		}
 		uf.Add(t.Rows[i].EID)
 	}
-	if nShards > 1 && len(pairs) > 1 {
-		// Sharded closure: contiguous pair chunks union in parallel and
-		// fold through the order-independent cluster.Merge; Build's
-		// canonical CID assignment makes the folded result identical to
-		// the sequential union loop.
-		s := nShards
-		if s > len(pairs) {
-			s = len(pairs)
+	for _, p := range pairs {
+		tcIter++
+		if err := bud.poll(tcIter); err != nil {
+			return tcInterrupt(err)
 		}
-		parts := make([]*cluster.UnionFind, s)
-		panics := make([]any, s)
-		var wg sync.WaitGroup
-		for ci := 0; ci < s; ci++ {
-			lo, hi := len(pairs)*ci/s, len(pairs)*(ci+1)/s
-			wg.Add(1)
-			go func(ci, lo, hi int) {
-				defer wg.Done()
-				defer func() { panics[ci] = recover() }()
-				p := cluster.NewUnionFind()
-				for _, pr := range pairs[lo:hi] {
-					p.Add(pr.A)
-					p.Add(pr.B)
-					p.Union(pr.A, pr.B)
-				}
-				parts[ci] = p
-			}(ci, lo, hi)
-		}
-		wg.Wait()
-		for _, r := range panics {
-			if r != nil {
-				panic(r)
-			}
-		}
-		for _, p := range parts {
-			uf = cluster.Merge(uf, p)
-		}
-	} else {
-		for _, p := range pairs {
-			tcIter++
-			if err := bud.poll(tcIter); err != nil {
-				return tcInterrupt(err)
-			}
-			uf.Union(p.A, p.B)
-		}
+		uf.Union(p.A, p.B)
 	}
 	cs := cluster.Build(uf)
 	cstats.TransitiveClosure = time.Since(tcStart)
@@ -1019,19 +877,8 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 		obs.Int(obs.AttrClusters, cs.Len()),
 		obs.Int(obs.AttrNonSingleton, len(cs.NonSingletons())))
 	tcSpan.End()
-	if cache != nil {
-		st := cache.Stats()
-		candSpan.SetAttr(
-			obs.Int64(obs.AttrSimCacheHits, st.Hits-baseCache.Hits),
-			obs.Int64(obs.AttrSimCacheMisses, st.Misses-baseCache.Misses),
-			obs.Int64(obs.AttrSimCacheEvictions, st.Evictions-baseCache.Evictions))
-	}
 	return cs, cstats, nil
 }
-
-// DefaultSimCacheSize is the per-candidate value-pair capacity used
-// when Options.SimCacheSize is zero.
-const DefaultSimCacheSize = similarity.DefaultCacheSize
 
 // estWindowPairs estimates the window pair slots one key pass visits
 // for n rows and window w: sum over positions i of min(i, w-1) — the
@@ -1074,7 +921,7 @@ func adaptiveLow(ring *rowRing, cur *GKRow, i, lo, key int, cand *config.Candida
 // ComparePair exposes the pair comparison (Defs. 2 and 3 plus the
 // classification rule) for baselines and tools built on the GK tables.
 func (t *GKTable) ComparePair(a, b *GKRow, useDesc bool) (odSim, descSim float64, hasDesc, dup bool, err error) {
-	odSim, descSim, hasDesc, dup, _, err = comparePair(t, a, b, useDesc, Options{}, nil)
+	odSim, descSim, hasDesc, dup, _, err = comparePair(t, a, b, useDesc, Options{})
 	return odSim, descSim, hasDesc, dup, err
 }
 
@@ -1134,19 +981,14 @@ func resolveRowDescClusters(row *GKRow, clusters map[string]*cluster.ClusterSet)
 
 // comparePair computes OD similarity (Def. 2), descendant similarity
 // (Def. 3), and the duplicate classification for one pair. It reads
-// only the table, the two rows, and the (immutable) options plus the
-// concurrency-safe cache, so pair workers may run it in parallel. A
-// nil cache computes everything directly.
-func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options, cache *similarity.Cache) (odSim, descSim float64, hasDesc, dup, filtered bool, err error) {
+// only the table, the two rows, and the (immutable) options, so pair
+// workers may run it in parallel.
+func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options) (odSim, descSim float64, hasDesc, dup, filtered bool, err error) {
 	if useDesc {
-		if cache != nil {
-			descSim, hasDesc = descendantSimilarityCached(cache, a, b)
-		} else {
-			descSim, hasDesc = descendantSimilarity(a, b)
-		}
+		descSim, hasDesc = descendantSimilarity(a, b)
 	}
 	if opts.FieldRule != nil {
-		fieldSims, ferr := cache.ODFieldSims(t.fields, a.OD, b.OD)
+		fieldSims, ferr := similarity.ODFieldSims(t.fields, a.OD, b.OD)
 		if ferr != nil {
 			return 0, 0, false, false, false, fmt.Errorf("core: candidate %q: %w", t.Candidate.Name, ferr)
 		}
@@ -1159,13 +1001,13 @@ func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options, cache *sim
 		// banded edit distance, and early termination of the weighted
 		// sum, with escalation to exact values whenever the bounds
 		// leave the verdict open.
-		odSim, dup, filtered, err = comparePairFiltered(t, a, b, descSim, hasDesc, cache)
+		odSim, dup, filtered, err = comparePairFiltered(t, a, b, descSim, hasDesc)
 		if err != nil {
 			return 0, 0, false, false, false, fmt.Errorf("core: candidate %q: %w", t.Candidate.Name, err)
 		}
 		return odSim, descSim, hasDesc, dup, filtered, nil
 	}
-	odSim, err = cache.ODSimilarity(t.fields, a.OD, b.OD)
+	odSim, err = similarity.ODSimilarity(t.fields, a.OD, b.OD)
 	if err != nil {
 		return 0, 0, false, false, false, fmt.Errorf("core: candidate %q: %w", t.Candidate.Name, err)
 	}
@@ -1202,79 +1044,39 @@ func aggregateFieldSims(fields []similarity.ODField, sims []float64) float64 {
 // uninformative the pair has no usable descendant signal (hasDesc is
 // false) and classification falls back to the OD alone, matching the
 // paper's leaf-node rule.
+//
+// The walk merges the two name-sorted lists; a type only one side has
+// meets the empty multiset. The per-type values are summed in name
+// order and divided by their count, exactly as similarity.Average does
+// over a slice, so the float result is bit-identical to it.
 func descendantSimilarity(a, b *GKRow) (float64, bool) {
-	return walkDescTypes(a.descClusters, b.descClusters, func(x, y *descList) float64 {
-		return similarity.OverlapSorted(x.cids, y.cids)
-	})
-}
-
-// noDesc stands in for a descendant type one side of a pair lacks: the
-// empty multiset, interned as SetID 0.
-var noDesc descList
-
-// walkDescTypes folds overlap over the union of two rows' descendant
-// types in name order — a merge walk of the name-sorted lists, where a
-// type only one side has meets noDesc. Types empty on both sides are
-// skipped. The per-type values are summed in name order and divided by
-// their count, exactly as similarity.Average does over a slice, so the
-// float result is bit-identical to it.
-func walkDescTypes(a, b []descList, overlap func(x, y *descList) float64) (float64, bool) {
+	la, lb := a.descClusters, b.descClusters
 	var sum float64
 	n := 0
-	for i, j := 0, 0; i < len(a) || j < len(b); {
-		x, y := &noDesc, &noDesc
+	for i, j := 0, 0; i < len(la) || j < len(lb); {
+		var x, y []int
 		switch {
-		case j == len(b) || (i < len(a) && a[i].name < b[j].name):
-			x = &a[i]
+		case j == len(lb) || (i < len(la) && la[i].name < lb[j].name):
+			x = la[i].cids
 			i++
-		case i == len(a) || b[j].name < a[i].name:
-			y = &b[j]
+		case i == len(la) || lb[j].name < la[i].name:
+			y = lb[j].cids
 			j++
 		default:
-			x, y = &a[i], &b[j]
+			x, y = la[i].cids, lb[j].cids
 			i++
 			j++
 		}
-		if len(x.cids) == 0 && len(y.cids) == 0 {
+		if len(x) == 0 && len(y) == 0 {
 			continue
 		}
-		sum += overlap(x, y)
+		sum += similarity.OverlapSorted(x, y)
 		n++
 	}
 	if n == 0 {
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-// internDescSets interns every row's descendant cluster-ID lists so
-// pair comparisons work on SetIDs; runs once per candidate, after
-// resolveDescClusters.
-func internDescSets(t *GKTable, c *similarity.Cache) {
-	for i := range t.Rows {
-		internRowDescSets(&t.Rows[i], c)
-	}
-}
-
-// internRowDescSets interns one row's descendant lists. SetIDs are
-// content-keyed in the cache, so the assignment order (table sweep vs
-// spill decode order) never changes a similarity result.
-func internRowDescSets(row *GKRow, c *similarity.Cache) {
-	for i := range row.descClusters {
-		l := &row.descClusters[i]
-		l.set = c.InternDesc(l.cids)
-	}
-}
-
-// descendantSimilarityCached is descendantSimilarity over interned
-// SetIDs: same type walk, same both-empty skip, with each per-type
-// overlap served by the cache. A type one side lacks is the empty
-// multiset (SetID 0), matching the uncached path, so the aggregated
-// float is bit-identical.
-func descendantSimilarityCached(c *similarity.Cache, a, b *GKRow) (float64, bool) {
-	return walkDescTypes(a.descClusters, b.descClusters, func(x, y *descList) float64 {
-		return c.OverlapIDs(x.set, y.set)
-	})
 }
 
 // decide applies the candidate's classification rule.

@@ -35,9 +35,8 @@ import (
 // difference is that PairObservation.ODSim reports a deterministic
 // bound instead of the exact aggregate for pairs decided early (an
 // upper bound for filtered pairs, a lower bound for short-circuited
-// duplicates). Everything here is also bit-identical across SimCache
-// on/off and PairWorkers settings: bounds depend only on the pair, and
-// memoized scores are exact by the cache's purity contract.
+// duplicates). Everything here is also bit-identical across
+// PairWorkers settings: bounds depend only on the pair.
 //
 // Soundness leans on two facts. decide() is monotone nondecreasing in
 // odSim for every built-in rule, so deciding on an upper (lower) bound
@@ -61,12 +60,12 @@ const maxStackFields = 16
 
 // comparePairFiltered evaluates one pair under the bound stack; the
 // returned tuple plugs into comparePair's slot for the built-in rules.
-func comparePairFiltered(t *GKTable, a, b *GKRow, descSim float64, hasDesc bool, cache *similarity.Cache) (odSim float64, dup, filtered bool, err error) {
+func comparePairFiltered(t *GKTable, a, b *GKRow, descSim float64, hasDesc bool) (odSim float64, dup, filtered bool, err error) {
 	fields := t.fields
 	if len(a.OD) != len(fields) || len(b.OD) != len(fields) {
 		// Malformed rows: surface the identical mismatch error through
 		// the slow path.
-		odSim, err = cache.ODSimilarity(fields, a.OD, b.OD)
+		odSim, err = similarity.ODSimilarity(fields, a.OD, b.OD)
 		return odSim, false, false, err
 	}
 	n := len(fields)
@@ -122,7 +121,7 @@ func comparePairFiltered(t *GKTable, a, b *GKRow, descSim float64, hasDesc bool,
 		}
 		f := fields[i]
 		if st[i] == fsOther {
-			v := similarity.BestMatch(cache, i, f.Sim, a.OD[i], b.OD[i])
+			v := similarity.BestMatch(f.Sim, a.OD[i], b.OD[i])
 			opt[i], pes[i] = v, v
 			return 0, false, false, false
 		}
@@ -130,7 +129,7 @@ func comparePairFiltered(t *GKTable, a, b *GKRow, descSim float64, hasDesc bool,
 			need = odNeedThreshold(t.Candidate, descSim, hasDesc)
 		}
 		fn := fieldNeed(fields, st, opt, need, i)
-		lo, hi := bestMatchEditBounded(cache, i, a.OD[i], b.OD[i],
+		lo, hi := bestMatchEditBounded(a.OD[i], b.OD[i],
 			fieldSketches(ska, i, a.OD[i]), fieldSketches(skb, i, b.OD[i]), fn)
 		opt[i], pes[i] = hi, lo
 		return 0, false, false, false
@@ -174,7 +173,7 @@ func comparePairFiltered(t *GKTable, a, b *GKRow, descSim float64, hasDesc bool,
 		}
 		for i := range fields {
 			if st[i] == fsEdit && opt[i] != pes[i] {
-				v := similarity.BestMatch(cache, i, fields[i].Sim, a.OD[i], b.OD[i])
+				v := similarity.BestMatch(fields[i].Sim, a.OD[i], b.OD[i])
 				opt[i], pes[i] = v, v
 			}
 		}
@@ -265,7 +264,7 @@ func fieldNeed(fields []similarity.ODField, st []uint8, opt []float64, need floa
 	return fn
 }
 
-// bestMatchEditBounded is bestMatch for an edit-measure field under a
+// bestMatchEditBounded is BestMatch for an edit-measure field under a
 // cut-off: value pairs whose sketch bound cannot raise the best match
 // are skipped, the rest run editScore with the cut-off at
 // max(best so far, need). Returns the exact best over the pairs scored
@@ -273,7 +272,7 @@ func fieldNeed(fields []similarity.ODField, st []uint8, opt []float64, need floa
 // the cut-off bounds. lo is the slow path's best match whenever
 // lo == hi: skipped pairs were bounded at or below lo, and cut-off
 // pairs at or below lo are equally unable to raise the slow maximum.
-func bestMatchEditBounded(cache *similarity.Cache, field int, va, vb []string, ska, skb []similarity.ValueSketch, need float64) (lo, hi float64) {
+func bestMatchEditBounded(va, vb []string, ska, skb []similarity.ValueSketch, need float64) (lo, hi float64) {
 	best, capHi := 0.0, 0.0
 	for xi := range va {
 		for yi := range vb {
@@ -285,12 +284,12 @@ func bestMatchEditBounded(cache *similarity.Cache, field int, va, vb []string, s
 			if need > thr {
 				thr = need
 			}
-			v, exact := editScore(cache, field, va[xi], vb[yi], sx, sy, thr)
+			v, exact := editScore(sx, sy, thr)
 			if exact {
 				if v > best {
 					best = v
 					if best == 1 {
-						return 1, 1 // mirror bestMatch's early exit
+						return 1, 1 // mirror BestMatch's early exit
 					}
 				}
 			} else if v > capHi {
@@ -312,7 +311,7 @@ func bestMatchEditBounded(cache *similarity.Cache, field int, va, vb []string, s
 // band, and NormalizedEditFromDistance repeats the exact float ops —
 // and scores at or below thr may come back as a sound upper bound with
 // exact=false.
-func editScore(cache *similarity.Cache, field int, x, y string, sx, sy *similarity.ValueSketch, thr float64) (v float64, exact bool) {
+func editScore(sx, sy *similarity.ValueSketch, thr float64) (v float64, exact bool) {
 	m := sx.RuneLen
 	if sy.RuneLen > m {
 		m = sy.RuneLen
@@ -332,26 +331,13 @@ func editScore(cache *similarity.Cache, field int, x, y string, sx, sy *similari
 			band = m
 		}
 	}
-	if cv, ok := cache.Lookup(field, x, y); ok {
-		// Memoized scores are always exact (cut-off results are never
-		// inserted). Mirror what the banded run would have produced so
-		// cache on/off stays bit-identical: the mapping d → 1 − d/m is
-		// strictly decreasing, so "d > band" is exactly
-		// "cv < score-at-band".
-		if band >= m || cv >= similarity.NormalizedEditFromDistance(band, m) {
-			return cv, true
-		}
-		return similarity.NormalizedEditFromDistance(band+1, m), false
-	}
 	d := similarity.LevenshteinBounded(sx.Norm, sy.Norm, band)
 	if d > band {
 		// Cut off: d ≥ band+1, so 1 − (band+1)/m bounds the true
 		// similarity from above.
 		return similarity.NormalizedEditFromDistance(band+1, m), false
 	}
-	v = similarity.NormalizedEditFromDistance(d, m)
-	cache.Insert(field, x, y, v)
-	return v, true
+	return similarity.NormalizedEditFromDistance(d, m), true
 }
 
 // sketchRow precomputes the per-value sketches of every edit-bounded

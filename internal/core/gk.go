@@ -43,13 +43,11 @@ type GKRow struct {
 }
 
 // descList is one descendant type's l_e list (Def. 3): the descendant
-// candidate name, the row's descendant cluster IDs in ascending order,
-// and their interned SetID when the run uses a similarity cache
-// (Options.SimCache; SetID 0, the empty multiset, otherwise).
+// candidate name and the row's descendant cluster IDs in ascending
+// order.
 type descList struct {
 	name string
 	cids []int
-	set  similarity.SetID
 }
 
 // GKTable is the GK_s relation for one candidate plus the resolved OD

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/extsort"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 )
 
 // This file is the memory-bounded GK backend: candidates whose tables
@@ -446,7 +445,6 @@ type candSpiller struct {
 	t        *GKTable
 	useDesc  bool
 	clusters map[string]*cluster.ClusterSet
-	cache    *similarity.Cache
 	nKeys    int
 	nOD      int
 	prefix   string
@@ -458,11 +456,11 @@ type candSpiller struct {
 	sketch bool
 }
 
-func newCandSpiller(st *spillState, t *GKTable, useDesc bool, clusters map[string]*cluster.ClusterSet, cache *similarity.Cache) *candSpiller {
+func newCandSpiller(st *spillState, t *GKTable, useDesc bool, clusters map[string]*cluster.ClusterSet) *candSpiller {
 	h := fnv.New64a()
 	io.WriteString(h, t.Candidate.Name)
 	return &candSpiller{
-		st: st, t: t, useDesc: useDesc, clusters: clusters, cache: cache,
+		st: st, t: t, useDesc: useDesc, clusters: clusters,
 		nKeys:  len(t.Candidate.CompiledKeys()),
 		nOD:    len(t.fields),
 		prefix: fmt.Sprintf("c%016x", h.Sum64()),
@@ -491,7 +489,7 @@ func (c *candSpiller) fingerprint() string {
 }
 
 // decodeRow rebuilds a streamed row and re-derives the detection-time
-// fields — descendant cluster lists and interned sets — exactly as the
+// fields — descendant cluster lists and sketches — exactly as the
 // resident path does, so a spilled row is observationally identical to
 // the table row it was encoded from.
 func (c *candSpiller) decodeRow(p []byte) (*GKRow, error) {
@@ -505,9 +503,6 @@ func (c *candSpiller) decodeRow(p []byte) (*GKRow, error) {
 	}
 	if c.useDesc {
 		resolveRowDescClusters(r, c.clusters)
-		if c.cache != nil {
-			internRowDescSets(r, c.cache)
-		}
 	}
 	if c.sketch {
 		c.t.sketchRow(r)
@@ -532,18 +527,16 @@ func (c *candSpiller) wrapSpill(pass int, err error) error {
 	return fmt.Errorf("core: candidate %q: spill pass %d: %w", c.t.Candidate.Name, pass, err)
 }
 
-// runsFor resolves one key pass's sorted run files without committing
-// to a single reader: fingerprinted runs from the manifest are reused
-// when they open cleanly, anything else sorts and spills afresh. The
-// sequential sweep opens one full merge over the result; the sharded
-// sweep opens one range reader per shard over the same files, so the
-// sort happens exactly once either way. Spill work is accounted to
-// obs metrics and a spill span only — Stats never sees it, keeping
-// spilled and in-memory Stats byte-identical.
-func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.Config[*GKRow], []extsort.RunFile, error) {
+// source externally sorts one key pass and returns the merged row
+// stream: fingerprinted runs from the manifest (an earlier process's)
+// are reused when they open cleanly, anything else sorts and spills
+// afresh. Spill work is accounted to obs metrics and a spill span only
+// — Stats never sees it, keeping spilled and in-memory Stats
+// byte-identical.
+func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource, error) {
 	start := time.Now()
 	if err := c.st.ensure(); err != nil {
-		return extsort.Config[*GKRow]{}, nil, c.wrapSpill(pass, err)
+		return nil, c.wrapSpill(pass, err)
 	}
 	cfg := c.config(pass)
 	key := fmt.Sprintf("%s/p%d", c.prefix, pass)
@@ -563,7 +556,7 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 	if runs == nil {
 		srt, err := extsort.New(cfg)
 		if err != nil {
-			return cfg, nil, c.wrapSpill(pass, err)
+			return nil, c.wrapSpill(pass, err)
 		}
 		for i := range c.t.Rows {
 			// The sort spills to disk as it goes; poll so deadlines and
@@ -576,18 +569,18 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 			if bud != nil {
 				if err := bud.poll(i + 1); err != nil {
 					srt.Discard()
-					return cfg, nil, err
+					return nil, err
 				}
 			}
 			if err := srt.Add(&c.t.Rows[i]); err != nil {
 				srt.Discard()
-				return cfg, nil, c.wrapSpill(pass, err)
+				return nil, c.wrapSpill(pass, err)
 			}
 		}
 		runs, err = srt.Finish()
 		if err != nil {
 			srt.Discard()
-			return cfg, nil, c.wrapSpill(pass, err)
+			return nil, c.wrapSpill(pass, err)
 		}
 		c.st.record(key, &spillEntry{
 			Candidate: c.t.Candidate.Name, Pass: pass, Rows: len(c.t.Rows),
@@ -615,31 +608,7 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 		obs.Bool(obs.AttrSpillReused, reused)); sp != nil {
 		sp.End()
 	}
-	return cfg, runs, nil
-}
-
-// source externally sorts one key pass (or reuses fingerprinted runs
-// from an earlier process) and returns the merged row stream.
-func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource, error) {
-	cfg, runs, err := c.runsFor(pass, parent, bud)
-	if err != nil {
-		return nil, err
-	}
 	it, err := extsort.MergeRuns(cfg, runs)
-	if err != nil {
-		return nil, c.wrapSpill(pass, err)
-	}
-	return &spillSource{c: c, it: it}, nil
-}
-
-// rangeSource opens a row stream over the merged slice [lo, hi) of
-// already-resolved runs — one shard's halo-plus-owned extent. Each
-// shard holds its own iterator (and decodes its own row copies), so
-// concurrent shards never share mutable state; decode-time derivation
-// (descendant resolution, interning, sketches) is per-row and backed
-// by concurrency-safe structures.
-func (c *candSpiller) rangeSource(cfg extsort.Config[*GKRow], runs []extsort.RunFile, pass int, lo, hi int64) (rowSource, error) {
-	it, err := extsort.MergeRunsRange(cfg, runs, lo, hi)
 	if err != nil {
 		return nil, c.wrapSpill(pass, err)
 	}

@@ -19,8 +19,8 @@ import (
 // The tests in this file are the proof behind Options.SpillThresholdRows:
 // the external-sort spill path must reproduce the in-memory path
 // observable-for-observable — clusters, Stats, pair observations,
-// checkpoint streams, and interrupted partials — across thresholds,
-// worker counts, and cache states.
+// checkpoint streams, and interrupted partials — across thresholds and
+// worker counts.
 
 // spillThresholds is the threshold axis: 1 = one row per run file (the
 // maximal-spill stress shape), 7 = several uneven runs per pass, and a
@@ -129,9 +129,9 @@ func TestSpillSortMatchesStableSort(t *testing.T) {
 }
 
 // TestSpillDifferentialMatrix is the headline equivalence proof:
-// SpillThresholdRows ∈ {1,7,∞} × PairWorkers ∈ {0,4} × SimCache ∈
-// {off,on} all reproduce the in-memory run exactly — cluster sets,
-// Stats, every PairObservation, and the checkpoint callback stream.
+// SpillThresholdRows ∈ {1,7,∞} × PairWorkers ∈ {0,4} all reproduce
+// the in-memory run exactly — cluster sets, Stats, every
+// PairObservation, and the checkpoint callback stream.
 func TestSpillDifferentialMatrix(t *testing.T) {
 	for _, sc := range differentialScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
@@ -142,14 +142,11 @@ func TestSpillDifferentialMatrix(t *testing.T) {
 			baseline := snapshotRun(t, kg, sc.cfg, sc.base)
 			for _, threshold := range spillThresholds {
 				for _, workers := range []int{0, 4} {
-					for _, cache := range []bool{false, true} {
-						opts := sc.base
-						opts.SpillThresholdRows = threshold
-						opts.PairWorkers = workers
-						opts.SimCache = cache
-						label := fmt.Sprintf("spill=%d workers=%d cache=%v", threshold, workers, cache)
-						diffSnapshots(t, label, baseline, snapshotRun(t, kg, sc.cfg, opts))
-					}
+					opts := sc.base
+					opts.SpillThresholdRows = threshold
+					opts.PairWorkers = workers
+					label := fmt.Sprintf("spill=%d workers=%d", threshold, workers)
+					diffSnapshots(t, label, baseline, snapshotRun(t, kg, sc.cfg, opts))
 				}
 			}
 		})

@@ -9,25 +9,23 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Edge cases of the sharded window sweep: shard arithmetic must stay
+// Edge cases of the pair-worker window sweep: batch chunking must stay
 // correct when the window swallows the whole table, when there is
 // nothing (or only one row) to sweep, and when runs of identical sort
-// keys straddle worker-shard and batch boundaries.
+// keys straddle worker-chunk and batch boundaries.
 
-// sweepCombos is the worker × cache grid the edge tests exercise; 16
-// workers over a handful of rows forces empty and single-pair shards.
+// sweepCombos is the worker grid the edge tests exercise; 16 workers
+// over a handful of rows forces empty and single-pair chunks.
 func sweepCombos() []Options {
 	var combos []Options
 	for _, w := range pairWorkerMatrix {
-		for _, cache := range []bool{false, true} {
-			combos = append(combos, Options{PairWorkers: w, SimCache: cache})
-		}
+		combos = append(combos, Options{PairWorkers: w})
 	}
 	return combos
 }
 
 func comboName(o Options) string {
-	return fmt.Sprintf("workers=%d/cache=%v", o.PairWorkers, o.SimCache)
+	return fmt.Sprintf("workers=%d", o.PairWorkers)
 }
 
 // Window ≥ table size degenerates to all-pairs: every combo must
@@ -96,10 +94,10 @@ func TestSweepEmptyTable(t *testing.T) {
 
 // duplicateKeyDoc builds a corpus whose sort keys form two long runs
 // of identical values (hundreds of rows each, well past pairBatchSize
-// shard fractions), so equal-key neighbors straddle every worker-shard
+// chunk fractions), so equal-key neighbors straddle every worker-chunk
 // boundary. sort.SliceStable plus the EID tiebreak must keep the pair
 // stream — and therefore the verdict merge — identical regardless of
-// sharding.
+// the worker count.
 func duplicateKeyDoc(t *testing.T, perGroup int) *xmltree.Document {
 	t.Helper()
 	var b strings.Builder
@@ -132,7 +130,7 @@ func TestSweepDuplicateKeysAcrossShards(t *testing.T) {
 	}
 	baseline := snapshotRun(t, kg, cfg, Options{})
 	for _, opts := range sweepCombos() {
-		if opts.PairWorkers == 0 && !opts.SimCache {
+		if opts.PairWorkers == 0 {
 			continue
 		}
 		diffSnapshots(t, comboName(opts), baseline, snapshotRun(t, kg, cfg, opts))

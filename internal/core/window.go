@@ -13,7 +13,7 @@ import (
 // list that feeds checkpoints and transitive closure — stays on the
 // enumerating goroutine. Only the pure pair comparison (Defs. 2 and 3
 // plus classification, a function of the two rows alone) fans out:
-// pairs are buffered into batches, a batch is sharded across workers,
+// pairs are buffered into batches, a batch is split across workers,
 // and the verdicts are merged back in enumeration order. The merge
 // order makes every observable — clusters, Stats, spans, checkpoints,
 // pair observations — byte-identical to the sequential run.
@@ -25,13 +25,9 @@ import (
 const pairBatchSize = 2048
 
 // pairVerdict carries one window pair through the compare stage: the
-// rows going in, the comparison outcome coming out. skip marks a pair
-// the producer already knows was compared (a sharded sweep checking
-// its compared-set snapshot): the compare stage leaves it untouched
-// and the consumer replays only its enumeration bookkeeping.
+// rows going in, the comparison outcome coming out.
 type pairVerdict struct {
 	a, b     *GKRow
-	skip     bool
 	odSim    float64
 	descSim  float64
 	hasDesc  bool
@@ -67,13 +63,6 @@ type sweeper struct {
 	merge   func(*pairVerdict) error
 	batch   []pairVerdict
 	inline  pairVerdict // the workers == 0 path's one in-flight pair
-	// shipPanics delivers a worker panic to merge as verdict data
-	// (v.panicked set) instead of re-raising it here. Shard workers set
-	// it: their enumerating goroutine has no candidate-level recover, so
-	// the panic must travel to the coordinator as an event and re-raise
-	// at its replay position. The inline workers==0 path then also runs
-	// compare through compareSafe, for the same reason.
-	shipPanics bool
 }
 
 func newSweeper(workers int, compare func(*pairVerdict), merge func(*pairVerdict) error) *sweeper {
@@ -88,25 +77,14 @@ func newSweeper(workers int, compare func(*pairVerdict), merge func(*pairVerdict
 // fills. An error is a hard comparison error already merged in order;
 // the caller aborts exactly as the sequential loop would.
 func (s *sweeper) add(a, b *GKRow) error {
-	return s.addVerdict(pairVerdict{a: a, b: b})
-}
-
-// addVerdict is add for a caller-constructed verdict — the sharded
-// sweep uses it to feed pre-marked skip pairs through the same
-// batching machinery.
-func (s *sweeper) addVerdict(v pairVerdict) error {
 	if s.workers == 0 {
-		// Compare in the sweeper's own slot: taking v's address would
-		// move every pair's verdict to the heap.
-		s.inline = v
-		if s.shipPanics {
-			s.compareSafe(&s.inline)
-		} else {
-			s.compare(&s.inline)
-		}
+		// Compare in the sweeper's own slot: a local verdict whose
+		// address escapes would move every pair's verdict to the heap.
+		s.inline = pairVerdict{a: a, b: b}
+		s.compare(&s.inline)
 		return s.merge(&s.inline)
 	}
-	s.batch = append(s.batch, v)
+	s.batch = append(s.batch, pairVerdict{a: a, b: b})
 	if len(s.batch) >= pairBatchSize {
 		return s.flush()
 	}
@@ -130,7 +108,7 @@ func (s *sweeper) flush() error {
 		workers = n
 	}
 	if workers > 1 {
-		// Contiguous shards, one per worker: pair comparison cost is
+		// Contiguous chunks, one per worker: pair comparison cost is
 		// roughly uniform, so equal-size ranges balance well without the
 		// contention of a shared index.
 		var wg sync.WaitGroup
@@ -151,16 +129,15 @@ func (s *sweeper) flush() error {
 		}
 	}
 	// Merge in enumeration order. A panic re-raises at the position the
-	// sequential run would have panicked (unless shipPanics hands it to
-	// merge as data); an error stops the merge at the position the
-	// sequential run would have returned it.
+	// sequential run would have panicked; an error stops the merge at
+	// the position the sequential run would have returned it.
 	var err error
 	for i := range s.batch {
 		v := &s.batch[i]
 		if err != nil {
 			break
 		}
-		if v.panicked != nil && !s.shipPanics {
+		if v.panicked != nil {
 			s.batch = s.batch[:0]
 			panic(v.panicked)
 		}

@@ -359,3 +359,50 @@ func TestRecordSizeCap(t *testing.T) {
 		t.Fatalf("error should name the cap: %v", err)
 	}
 }
+
+// TestSorterFinishMultipleReaders pins Finish's contract: one sort,
+// then any number of independent MergeRuns readers over its runs, each
+// streaming the full merged order.
+func TestSorterFinishMultipleReaders(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(9))
+	recs := make([]string, 30)
+	for i := range recs {
+		recs[i] = fmt.Sprintf("rec-%04d", rng.Intn(60))
+	}
+	cfg := stringConfig(dir, 4)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := s.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), recs...)
+	sort.Strings(want)
+	a, err := MergeRuns(cfg, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := MergeRuns(cfg, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ga, gb := drain(t, a), drain(t, b)
+	if len(ga) != len(want) || len(gb) != len(want) {
+		t.Fatalf("reader lengths %d/%d, want %d", len(ga), len(gb), len(want))
+	}
+	for i := range want {
+		if ga[i] != want[i] || gb[i] != want[i] {
+			t.Fatalf("record %d: %q / %q, want %q", i, ga[i], gb[i], want[i])
+		}
+	}
+}

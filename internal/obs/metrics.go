@@ -32,15 +32,6 @@ type Metrics struct {
 	CandidatesDone  atomic.Int64
 	CandidatesTotal atomic.Int64 // gauge, set at detection start
 
-	// Similarity memo layer (Options.SimCache). Hits count value-pair
-	// and descendant-overlap results served from memory, including the
-	// interned set-ID fast path; misses count computed-and-inserted
-	// results; evictions count entries dropped to the capacity bound.
-	SimCacheHits      atomic.Int64
-	SimCacheMisses    atomic.Int64
-	SimCacheEvictions atomic.Int64
-	DescSetsInterned  atomic.Int64 // distinct descendant multisets interned
-
 	// Gauges sampled per pass.
 	HeapInUse atomic.Int64 // bytes, sampled via runtime/metrics
 	PeakHeap  atomic.Int64 // high-water mark of HeapInUse samples
@@ -63,15 +54,6 @@ type Metrics struct {
 	SpillBytesWritten atomic.Int64
 	SpillBytesRead    atomic.Int64
 	SpillWallNanos    atomic.Int64
-
-	// Sharded sliding-window path (Options.Shards). ShardCount is the
-	// resolved shard count gauge (0 = unsharded); sweeps count per-shard
-	// sweep executions across passes; halo dedup counts window pairs a
-	// shard skipped because they fall wholly inside its halo and belong
-	// to the preceding shard.
-	ShardCount       atomic.Int64
-	ShardSweeps      atomic.Int64
-	HaloPairsDeduped atomic.Int64
 
 	// Resume provenance.
 	ResumedCandidates atomic.Int64 // candidates adopted from a checkpoint
@@ -161,10 +143,6 @@ type Snapshot struct {
 	DuplicatePairs      int64   `json:"duplicate_pairs"`
 	ODSimCalls          int64   `json:"od_sim_calls"`
 	DescSimCalls        int64   `json:"desc_sim_calls"`
-	SimCacheHits        int64   `json:"sim_cache_hits"`
-	SimCacheMisses      int64   `json:"sim_cache_misses"`
-	SimCacheEvictions   int64   `json:"sim_cache_evictions"`
-	DescSetsInterned    int64   `json:"desc_sets_interned"`
 	GKRows              int64   `json:"gk_rows"`
 	PassesDone          int64   `json:"passes_done"`
 	CandidatesDone      int64   `json:"candidates_done"`
@@ -179,15 +157,11 @@ type Snapshot struct {
 	SpillBytesWritten   int64   `json:"spill_bytes_written"`
 	SpillBytesRead      int64   `json:"spill_bytes_read"`
 	SpillWallSeconds    float64 `json:"spill_wall_seconds"`
-	ShardCount          int64   `json:"shard_count"`
-	ShardSweeps         int64   `json:"shard_sweeps"`
-	HaloPairsDeduped    int64   `json:"halo_pairs_deduped"`
 	ResumedCandidates   int64   `json:"resumed_candidates"`
 	ResumedPairs        int64   `json:"resumed_pairs"`
 	ElapsedSeconds      float64 `json:"elapsed_seconds"`
 	ComparisonsPerSec   float64 `json:"comparisons_per_sec"`
 	FilterHitRate       float64 `json:"filter_hit_rate"`
-	SimCacheHitRate     float64 `json:"sim_cache_hit_rate"`
 }
 
 // Snapshot copies the current values and computes derived rates.
@@ -202,10 +176,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DuplicatePairs:      m.DuplicatePairs.Load(),
 		ODSimCalls:          m.ODSimCalls.Load(),
 		DescSimCalls:        m.DescSimCalls.Load(),
-		SimCacheHits:        m.SimCacheHits.Load(),
-		SimCacheMisses:      m.SimCacheMisses.Load(),
-		SimCacheEvictions:   m.SimCacheEvictions.Load(),
-		DescSetsInterned:    m.DescSetsInterned.Load(),
 		GKRows:              m.GKRows.Load(),
 		PassesDone:          m.PassesDone.Load(),
 		CandidatesDone:      m.CandidatesDone.Load(),
@@ -220,9 +190,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		SpillBytesWritten:   m.SpillBytesWritten.Load(),
 		SpillBytesRead:      m.SpillBytesRead.Load(),
 		SpillWallSeconds:    time.Duration(m.SpillWallNanos.Load()).Seconds(),
-		ShardCount:          m.ShardCount.Load(),
-		ShardSweeps:         m.ShardSweeps.Load(),
-		HaloPairsDeduped:    m.HaloPairsDeduped.Load(),
 		ResumedCandidates:   m.ResumedCandidates.Load(),
 		ResumedPairs:        m.ResumedPairs.Load(),
 		ElapsedSeconds:      m.Elapsed().Seconds(),
@@ -239,9 +206,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	if attempted > 0 {
 		s.FilterHitRate = float64(s.FilteredOut) / float64(attempted)
-	}
-	if lookups := s.SimCacheHits + s.SimCacheMisses; lookups > 0 {
-		s.SimCacheHitRate = float64(s.SimCacheHits) / float64(lookups)
 	}
 	return s
 }
@@ -261,10 +225,6 @@ var promRows = []promRow{
 	{"sxnm_duplicate_pairs_total", "counter", "Distinct pairs classified duplicate before transitive closure.", func(s *Snapshot) float64 { return float64(s.DuplicatePairs) }},
 	{"sxnm_od_sim_calls_total", "counter", "Object-description similarity invocations.", func(s *Snapshot) float64 { return float64(s.ODSimCalls) }},
 	{"sxnm_desc_sim_calls_total", "counter", "Descendant similarity invocations.", func(s *Snapshot) float64 { return float64(s.DescSimCalls) }},
-	{"sxnm_sim_cache_hits_total", "counter", "Similarity results served from the memo layer.", func(s *Snapshot) float64 { return float64(s.SimCacheHits) }},
-	{"sxnm_sim_cache_misses_total", "counter", "Similarity results computed and inserted into the memo layer.", func(s *Snapshot) float64 { return float64(s.SimCacheMisses) }},
-	{"sxnm_sim_cache_evictions_total", "counter", "Memo entries dropped to respect the cache capacity.", func(s *Snapshot) float64 { return float64(s.SimCacheEvictions) }},
-	{"sxnm_desc_sets_interned_total", "counter", "Distinct descendant cluster-ID multisets interned.", func(s *Snapshot) float64 { return float64(s.DescSetsInterned) }},
 	{"sxnm_gk_rows_total", "counter", "Rows across all GK tables after key generation.", func(s *Snapshot) float64 { return float64(s.GKRows) }},
 	{"sxnm_passes_done_total", "counter", "Completed key passes.", func(s *Snapshot) float64 { return float64(s.PassesDone) }},
 	{"sxnm_candidates_done_total", "counter", "Completed candidates.", func(s *Snapshot) float64 { return float64(s.CandidatesDone) }},
@@ -279,14 +239,10 @@ var promRows = []promRow{
 	{"sxnm_spill_bytes_written_total", "counter", "Run-file payload bytes written by the spill path.", func(s *Snapshot) float64 { return float64(s.SpillBytesWritten) }},
 	{"sxnm_spill_bytes_read_total", "counter", "Run-file payload bytes streamed back during merges.", func(s *Snapshot) float64 { return float64(s.SpillBytesRead) }},
 	{"sxnm_spill_wall_seconds", "counter", "Cumulative wall time spent sorting and spilling runs.", func(s *Snapshot) float64 { return s.SpillWallSeconds }},
-	{"sxnm_shard_count", "gauge", "Resolved shard count for the sharded sliding-window path (0 = unsharded).", func(s *Snapshot) float64 { return float64(s.ShardCount) }},
-	{"sxnm_shard_sweeps_total", "counter", "Per-shard sweep executions across all key passes.", func(s *Snapshot) float64 { return float64(s.ShardSweeps) }},
-	{"sxnm_halo_pairs_deduped_total", "counter", "Window pairs skipped as halo duplicates owned by a neighboring shard.", func(s *Snapshot) float64 { return float64(s.HaloPairsDeduped) }},
 	{"sxnm_resumed_candidates_total", "counter", "Candidates adopted from a checkpoint instead of re-detected.", func(s *Snapshot) float64 { return float64(s.ResumedCandidates) }},
 	{"sxnm_resumed_pairs_total", "counter", "Duplicate pairs seeded from a checkpoint.", func(s *Snapshot) float64 { return float64(s.ResumedPairs) }},
 	{"sxnm_comparisons_per_second", "gauge", "Attempted-comparison throughput (computed + filtered) since detection start.", func(s *Snapshot) float64 { return s.ComparisonsPerSec }},
 	{"sxnm_filter_hit_rate", "gauge", "Fraction of attempted comparisons (computed + filtered) the filter skipped.", func(s *Snapshot) float64 { return s.FilterHitRate }},
-	{"sxnm_sim_cache_hit_rate", "gauge", "Fraction of memo lookups served from memory.", func(s *Snapshot) float64 { return s.SimCacheHitRate }},
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text

@@ -36,26 +36,10 @@ const (
 	AttrCause          = "cause"
 	AttrStream         = "stream"
 
-	// Similarity memo counters, set on candidate spans when
-	// Options.SimCache is enabled.
-	AttrSimCacheHits      = "sim_cache_hits"
-	AttrSimCacheMisses    = "sim_cache_misses"
-	AttrSimCacheEvictions = "sim_cache_evictions"
-
 	// External-sort spill attributes, set on SpanSpill spans.
 	AttrSpillRuns   = "spill_runs"
 	AttrSpillBytes  = "spill_bytes"
 	AttrSpillReused = "spill_reused"
-
-	// Sharded-sweep attributes, set on SpanShard spans: the shard's
-	// index, its owned row range [start, end), the number of halo rows
-	// prepended for window context, and the halo pairs it skipped as
-	// another shard's property.
-	AttrShard       = "shard"
-	AttrShardStart  = "shard_start"
-	AttrShardEnd    = "shard_end"
-	AttrHaloRows    = "halo_rows"
-	AttrHaloDeduped = "halo_deduped"
 )
 
 // ReportSchema identifies the report.json layout version.
@@ -90,9 +74,6 @@ type CandidateReport struct {
 	DuplicatePairs      int64        `json:"duplicate_pairs"`
 	Clusters            int64        `json:"clusters"`
 	NonSingleton        int64        `json:"non_singleton"`
-	SimCacheHits        int64        `json:"sim_cache_hits,omitempty"`
-	SimCacheMisses      int64        `json:"sim_cache_misses,omitempty"`
-	SimCacheEvictions   int64        `json:"sim_cache_evictions,omitempty"`
 	SlidingWindowMS     float64      `json:"sliding_window_ms"`
 	TransitiveClosureMS float64      `json:"transitive_closure_ms"`
 	WallMS              float64      `json:"wall_ms"`
@@ -123,19 +104,6 @@ type SpillReport struct {
 	BytesWritten int64   `json:"bytes_written"`
 	BytesRead    int64   `json:"bytes_read"`
 	WallSeconds  float64 `json:"wall_seconds"`
-}
-
-// ShardReport summarizes the sharded sliding-window path; present only
-// when detection ran with Options.Shards enabled.
-type ShardReport struct {
-	// ShardCount is the configured shard count (post-resolution: a
-	// negative option resolves to the CPU count).
-	ShardCount int64 `json:"shard_count"`
-	// ShardSweeps counts per-shard sweep executions across all passes.
-	ShardSweeps int64 `json:"shard_sweeps"`
-	// HaloPairsDeduped counts window pairs that fell wholly inside a
-	// shard's halo and were skipped as another shard's property.
-	HaloPairsDeduped int64 `json:"halo_pairs_deduped"`
 }
 
 // InterruptReport records a run cut short.
@@ -180,16 +148,11 @@ type Report struct {
 	// snapshot and Stats use (DESIGN.md §11), so report and engine
 	// Stats agree exactly.
 	FilterHitRate float64 `json:"filter_hit_rate"`
-	// SimCacheHitRate is the fraction of memo lookups served from
-	// memory when Options.SimCache is on (0 when the cache is off —
-	// no lookups happen at all).
-	SimCacheHitRate float64 `json:"sim_cache_hit_rate"`
-	PeakHeapBytes   int64   `json:"peak_heap_bytes,omitempty"`
+	PeakHeapBytes int64   `json:"peak_heap_bytes,omitempty"`
 
 	Resume      *ResumeReport     `json:"resume,omitempty"`
 	Checkpoint  *CheckpointReport `json:"checkpoint,omitempty"`
 	Spill       *SpillReport      `json:"spill,omitempty"`
-	Sharding    *ShardReport      `json:"sharding,omitempty"`
 	Interrupted *InterruptReport  `json:"interrupted,omitempty"`
 
 	// PhaseLatency digests the duration distribution of every span
@@ -277,9 +240,6 @@ func (c *Collector) Emit(r Record) {
 			SlidingWindowMS:     ms(time.Duration(r.AttrInt(AttrSWNanos))),
 			TransitiveClosureMS: ms(time.Duration(r.AttrInt(AttrTCNanos))),
 			WallMS:              ms(r.Dur),
-			SimCacheHits:        r.AttrInt(AttrSimCacheHits),
-			SimCacheMisses:      r.AttrInt(AttrSimCacheMisses),
-			SimCacheEvictions:   r.AttrInt(AttrSimCacheEvictions),
 		}
 		if _, seen := c.candidates[name]; !seen {
 			c.order = append(c.order, name)
@@ -331,13 +291,6 @@ func (c *Collector) Report(m *Metrics) *Report {
 			WallSeconds:  s.SpillWallSeconds,
 		}
 	}
-	if s := &rep.Metrics; s.ShardCount > 0 {
-		rep.Sharding = &ShardReport{
-			ShardCount:       s.ShardCount,
-			ShardSweeps:      s.ShardSweeps,
-			HaloPairsDeduped: s.HaloPairsDeduped,
-		}
-	}
 	for _, name := range c.order {
 		cr := *c.candidates[name]
 		passes := append([]PassReport(nil), c.passes[name]...)
@@ -362,7 +315,6 @@ func (c *Collector) Report(m *Metrics) *Report {
 	if attempted := rep.Totals.Comparisons + rep.Totals.FilteredOut; attempted > 0 {
 		rep.FilterHitRate = float64(rep.Totals.FilteredOut) / float64(attempted)
 	}
-	rep.SimCacheHitRate = rep.Metrics.SimCacheHitRate
 	if s := c.phases.Summaries(); len(s) > 0 {
 		rep.PhaseLatency = s
 	}

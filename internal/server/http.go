@@ -161,7 +161,7 @@ func (s *Server) statusOf(j *job) *JobStatus {
 	defer j.mu.Unlock()
 	st := &JobStatus{
 		ID:        j.id,
-		Tenant:    j.req.Tenant,
+		Tenant:    j.tenant,
 		State:     j.state,
 		Attempts:  j.attempts,
 		Resumed:   j.resumed,

@@ -203,11 +203,11 @@ func effectiveLimits(spec *LimitsSpec, def, max sxnm.Limits) (sxnm.Limits, *apiE
 }
 
 // job is the server's in-memory record of one submission. The mutex
-// guards the mutable lifecycle fields; the request, ID, and observer
+// guards the mutable lifecycle fields; the ID, tenant, and observer
 // are immutable after creation.
 type job struct {
 	id        string
-	req       *JobRequest
+	tenant    string
 	limits    sxnm.Limits
 	submitted time.Time
 
@@ -221,7 +221,12 @@ type job struct {
 	// journaling is disabled); set before the job is enqueued.
 	jr *journal
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// req is the submitted body. It is released (set to nil) once the
+	// job is terminal, so finished jobs kept for queryability do not
+	// pin their documents in memory; job.json in the spool still holds
+	// the body for restarts.
+	req       *JobRequest
 	state     JobState
 	attempts  int
 	enqueued  time.Time // last time the job entered the run queue
@@ -260,6 +265,13 @@ func (j *job) requestCancel() JobState {
 		j.cancel()
 	}
 	return st
+}
+
+// request returns the submitted body, or nil once the job is terminal.
+func (j *job) request() *JobRequest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.req
 }
 
 func (j *job) isCancelled() bool {

@@ -101,8 +101,6 @@ var engineRows = []engineRow{
 	{"sxnmd_engine_window_pairs_total", "Window pair slots visited across all jobs.", func(s *obs.Snapshot) float64 { return float64(s.WindowPairs) }},
 	{"sxnmd_engine_comparisons_total", "Distinct similarity computations across all jobs.", func(s *obs.Snapshot) float64 { return float64(s.Comparisons) }},
 	{"sxnmd_engine_duplicate_pairs_total", "Pairs classified duplicate across all jobs.", func(s *obs.Snapshot) float64 { return float64(s.DuplicatePairs) }},
-	{"sxnmd_engine_sim_cache_hits_total", "Similarity results served from the shared memo layer.", func(s *obs.Snapshot) float64 { return float64(s.SimCacheHits) }},
-	{"sxnmd_engine_sim_cache_misses_total", "Similarity results computed and memoized.", func(s *obs.Snapshot) float64 { return float64(s.SimCacheMisses) }},
 	{"sxnmd_engine_gk_rows_total", "GK rows generated across all jobs.", func(s *obs.Snapshot) float64 { return float64(s.GKRows) }},
 	{"sxnmd_engine_checkpoint_writes_total", "Checkpoint section writes across all jobs.", func(s *obs.Snapshot) float64 { return float64(s.CheckpointWrites) }},
 	{"sxnmd_engine_checkpoint_bytes_total", "Bytes written to job checkpoints.", func(s *obs.Snapshot) float64 { return float64(s.CheckpointBytes) }},
@@ -164,10 +162,6 @@ func addSnapshot(dst *obs.Snapshot, s obs.Snapshot) {
 	dst.DuplicatePairs += s.DuplicatePairs
 	dst.ODSimCalls += s.ODSimCalls
 	dst.DescSimCalls += s.DescSimCalls
-	dst.SimCacheHits += s.SimCacheHits
-	dst.SimCacheMisses += s.SimCacheMisses
-	dst.SimCacheEvictions += s.SimCacheEvictions
-	dst.DescSetsInterned += s.DescSetsInterned
 	dst.GKRows += s.GKRows
 	dst.PassesDone += s.PassesDone
 	dst.CandidatesDone += s.CandidatesDone

@@ -94,14 +94,9 @@ type Config struct {
 	RetryMaxDelay  time.Duration
 
 	// Engine carries the base run options applied to every job
-	// (Parallel, PairWorkers, SimCache, SpillThresholdRows, ...).
-	// Observer, SpillDir, and SimCacheFor are per-job and overwritten.
+	// (UseFilter, Parallel, PairWorkers, SpillThresholdRows, ...).
+	// Observer, Limits, and SpillDir are per-job and overwritten.
 	Engine sxnm.Options
-
-	// CacheEntries / CacheMaxDescSets bound the shared similarity cache
-	// pool (see cachePool). Zero means defaults.
-	CacheEntries     int
-	CacheMaxDescSets int64
 
 	// CheckpointFS, when set, routes all checkpoint AND spool I/O
 	// through it — the fault-injection seam of the kill harnesses.
@@ -206,7 +201,6 @@ type Server struct {
 	cfg     Config
 	owner   string
 	spool   *spool
-	pool    *cachePool
 	limiter *rateLimiter
 	Met     Metrics
 	Hist    ServerHistograms
@@ -247,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     c,
 		owner:   c.OwnerID,
 		spool:   sp,
-		pool:    newCachePool(c.CacheEntries, c.Engine.SimCacheSize, c.CacheMaxDescSets),
 		limiter: newRateLimiter(c.TenantRPS, c.TenantBurst, nil),
 		phases:  obs.NewPhaseHistograms(),
 		jobs:    make(map[string]*job),
@@ -342,6 +335,7 @@ func (s *Server) registerTerminal(rec *spooledJob, out *Outcome) {
 		return
 	}
 	j := s.newJob(rec.ID, rec.Request, rec.Submitted)
+	j.req = nil // terminal: the spool keeps the body
 	j.state = out.State
 	j.attempts = out.Attempts
 	j.finished = out.FinishedAt
@@ -583,6 +577,7 @@ func (s *Server) newJob(id string, req *JobRequest, submitted time.Time) *job {
 	col := sxnm.NewCollector()
 	j := &job{
 		id:        id,
+		tenant:    req.Tenant,
 		req:       req,
 		submitted: submitted,
 		ob:        sxnm.NewObserver(col),
@@ -715,7 +710,7 @@ func (s *Server) tryEnqueueLocked(j *job) bool {
 	s.journalAppend(j, JobEvent{Type: EventQueued})
 	s.queue <- j
 	s.jobs[j.id] = j
-	s.tenants[j.req.Tenant]++
+	s.tenants[j.tenant]++
 	j.counted = true
 	s.Met.QueueDepth.Add(1)
 	return true

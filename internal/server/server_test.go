@@ -607,37 +607,3 @@ func TestHealthReadyMetricsEndpoints(t *testing.T) {
 		}
 	}
 }
-
-func TestSharedSimCacheAcrossJobs(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.Engine.SimCache = true
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var ids []string
-	for i := 0; i < 2; i++ {
-		_, b := postJob(t, ts, testBody(t, nil))
-		id, _ := b["id"].(string)
-		ids = append(ids, id)
-		waitTerminal(t, s, id)
-	}
-	first := s.Job(ids[0]).snapshot()
-	second := s.Job(ids[1]).snapshot()
-	if second.SimCacheHits <= first.SimCacheHits {
-		t.Errorf("warm second job should hit the shared cache more: first %d hits, second %d",
-			first.SimCacheHits, second.SimCacheHits)
-	}
-	// Determinism: identical clusters despite the warm cache.
-	o1, _ := s.spool.loadOutcome(ids[0])
-	o2, _ := s.spool.loadOutcome(ids[1])
-	c1, _ := json.Marshal(o1.Clusters)
-	c2, _ := json.Marshal(o2.Clusters)
-	if !bytes.Equal(c1, c2) {
-		t.Error("warm-cache run produced different clusters")
-	}
-	if s.pool.len() == 0 {
-		t.Error("cache pool is empty after SimCache jobs")
-	}
-}

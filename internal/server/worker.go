@@ -195,7 +195,8 @@ func (s *Server) runAttempt(ctx context.Context, j *job) (res *sxnm.Result, err 
 		}
 	}()
 
-	cfg, lerr := sxnm.LoadConfig(strings.NewReader(j.req.ConfigXML))
+	req := j.request() // non-nil: only a terminal job has released it
+	cfg, lerr := sxnm.LoadConfig(strings.NewReader(req.ConfigXML))
 	if lerr != nil {
 		return nil, &permanentError{code: "invalid-config", err: lerr}
 	}
@@ -205,16 +206,11 @@ func (s *Server) runAttempt(ctx context.Context, j *job) (res *sxnm.Result, err 
 	if opts.SpillThresholdRows > 0 {
 		opts.SpillDir = s.spool.spillDir(j.id)
 	}
-	if opts.SimCache {
-		if fp, ferr := sxnm.ConfigFingerprint(cfg); ferr == nil {
-			opts.SimCacheFor = s.pool.providerFor(fp)
-		}
-	}
 	det, derr := sxnm.NewWithOptions(cfg, opts)
 	if derr != nil {
 		return nil, &permanentError{code: "invalid-config", err: derr}
 	}
-	doc, perr := sxnm.ParseXMLWithLimits(strings.NewReader(j.req.DocumentXML), j.limits)
+	doc, perr := sxnm.ParseXMLWithLimits(strings.NewReader(req.DocumentXML), j.limits)
 	if perr != nil {
 		if runlimit.IsInterruption(perr) {
 			return nil, perr // parse-time depth/node budget breach
@@ -284,6 +280,7 @@ func (s *Server) finishFenced(j *job) {
 	j.errCode = "lease-fenced"
 	j.errMsg = "job taken over by another daemon; this daemon's attempt was abandoned without writes"
 	j.finished = time.Now().UTC()
+	j.req = nil
 	cancel := j.cancel
 	j.cancel = nil
 	j.mu.Unlock()
@@ -364,6 +361,7 @@ func (s *Server) finishJob(j *job, state JobState, apiErr *apiError, res *sxnm.R
 	j.lastSnap = snap
 	j.result = out
 	j.cancel = nil
+	j.req = nil
 	j.mu.Unlock()
 	s.releaseTenant(j)
 	switch state {
@@ -419,10 +417,10 @@ func (s *Server) releaseTenant(j *job) {
 	j.counted = false
 	j.mu.Unlock()
 	if counted {
-		if n := s.tenants[j.req.Tenant]; n <= 1 {
-			delete(s.tenants, j.req.Tenant)
+		if n := s.tenants[j.tenant]; n <= 1 {
+			delete(s.tenants, j.tenant)
 		} else {
-			s.tenants[j.req.Tenant] = n - 1
+			s.tenants[j.tenant] = n - 1
 		}
 	}
 }

@@ -36,7 +36,7 @@ func ODSimilarity(fields []ODField, a, b [][]string) (float64, error) {
 		if len(va) == 0 || len(vb) == 0 {
 			continue // one side missing: counts as similarity 0
 		}
-		sum += f.Relevance * bestMatch(f.Sim, va, vb)
+		sum += f.Relevance * BestMatch(f.Sim, va, vb)
 	}
 	if weight == 0 {
 		return 0, nil
@@ -66,29 +66,18 @@ func ODFieldSims(fields []ODField, a, b [][]string) ([]float64, error) {
 		case len(va) == 0 || len(vb) == 0:
 			out[i] = 0
 		default:
-			out[i] = bestMatch(f.Sim, va, vb)
+			out[i] = BestMatch(f.Sim, va, vb)
 		}
 	}
 	return out, nil
 }
 
-// BestMatch is the exported cache-dispatching best match of one OD
-// field: the memoized path when c is non-nil, the direct computation
-// otherwise — the same dispatch ODSimilarity performs internally, so
-// the returned float is bit-identical to the aggregate's per-field
-// term either way. The engine's threshold-aware fast path uses it to
-// escalate a single field to an exact value.
-func BestMatch(c *Cache, field int, sim Func, va, vb []string) float64 {
-	if c == nil {
-		return bestMatch(sim, va, vb)
-	}
-	return c.bestMatch(field, sim, va, vb)
-}
-
-// bestMatch returns the maximum similarity over the cross product of
+// BestMatch returns the maximum similarity over the cross product of
 // values; paths selecting multiple nodes (e.g. several <artist>
-// children) match on their most similar pair.
-func bestMatch(sim Func, va, vb []string) float64 {
+// children) match on their most similar pair. It is the per-field term
+// of ODSimilarity, so the engine's threshold-aware fast path escalates
+// a single field to an exact value with it.
+func BestMatch(sim Func, va, vb []string) float64 {
 	best := 0.0
 	for _, x := range va {
 		for _, y := range vb {

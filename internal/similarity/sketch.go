@@ -104,8 +104,8 @@ func EditDistanceLowerBound(a, b *ValueSketch) int {
 // would report: 1 − d/m, computed with the identical float64 operation
 // order, so plugging in the true distance reproduces the exact
 // similarity bit-for-bit. It is strictly decreasing in d for any
-// realistic m, which is what lets the fast path decide from a memoized
-// exact score whether a banded computation would have been cut off.
+// realistic m, which is what makes 1 − (band+1)/m a sound upper bound
+// for a banded computation that was cut off.
 func NormalizedEditFromDistance(d, m int) float64 {
 	return 1 - float64(d)/float64(m)
 }

@@ -87,7 +87,7 @@ func checkBoundSoundness(t *testing.T, a, b string, max int) {
 func FuzzBoundSoundness(f *testing.F) {
 	f.Add("", "", uint8(0))
 	f.Add("The Matrix", "The Martix", uint8(2))
-	f.Add("ABBA", "BABA", uint8(1))       // anagram: length bound is blind, histogram is not
+	f.Add("ABBA", "BABA", uint8(1)) // anagram: length bound is blind, histogram is not
 	f.Add("héllo wörld", "hello", uint8(3))
 	f.Add("12345", "54321", uint8(0))
 	f.Add("\xff\xfe", "\xef\xbf\xbd", uint8(1)) // invalid UTF-8 exercises rune replacement
@@ -220,8 +220,7 @@ func TestLevenshteinBoundedEdges(t *testing.T) {
 }
 
 // TestNormalizedEditFromDistanceMonotone pins the strict monotonicity
-// that lets editScore translate a memoized exact score back into
-// "would the banded run have been cut off": for every realistic m, the
+// editScore's cut-off bound relies on: for every realistic m, the
 // mapping d → 1 − d/m must be strictly decreasing, i.e. injective over
 // integer distances.
 func TestNormalizedEditFromDistanceMonotone(t *testing.T) {

@@ -46,9 +46,9 @@ type (
 	LatencySummary = obs.LatencySummary
 	// RunMetrics is the live atomic counter/gauge set of a run (the
 	// name Metrics is taken by the evaluation package's quality
-	// metrics). When Options.SimCache is on, its SimCacheHits/Misses/
-	// Evictions and DescSetsInterned counters track the similarity memo
-	// layer; report.json surfaces the derived sim_cache_hit_rate.
+	// metrics). Its FilteredOut counter tracks the pairs the
+	// threshold-aware filter skipped; report.json surfaces the derived
+	// filter_hit_rate.
 	RunMetrics = obs.Metrics
 	// MetricsSnapshot is a point-in-time copy of Metrics with derived
 	// rates; it marshals to JSON and renders to Prometheus text format.

@@ -62,9 +62,10 @@ type (
 	Result = core.Result
 	// Options tune a run (pair observation, descendant toggles,
 	// custom decision rules) and its performance envelope:
+	// Options.UseFilter runs the threshold-aware classify path and
 	// Options.PairWorkers parallelizes the window sweep inside each
-	// key pass and Options.SimCache memoizes similarity computations —
-	// both produce results byte-identical to the plain sequential run.
+	// key pass — clusters are identical to the plain unfiltered
+	// sequential run either way.
 	Options = core.Options
 	// Stats carries the per-phase timings (KG, SW, TC) of the paper's
 	// scalability experiments.
@@ -107,10 +108,6 @@ const (
 	RuleEither   = config.RuleEither
 	RuleBoth     = config.RuleBoth
 )
-
-// DefaultSimCacheSize is the per-candidate similarity cache capacity
-// used when Options.SimCache is on and Options.SimCacheSize is zero.
-const DefaultSimCacheSize = core.DefaultSimCacheSize
 
 // LoadConfig reads and validates an XML configuration document.
 func LoadConfig(r io.Reader) (*Config, error) {
