@@ -190,6 +190,17 @@ func (cs *ClusterSet) DuplicatePairs() []Pair {
 	return out
 }
 
+// PairCount returns len(cs.DuplicatePairs()) without building the
+// pairs: Σ k(k−1)/2 over clusters of k members.
+func (cs *ClusterSet) PairCount() int {
+	n := 0
+	for _, c := range cs.Clusters {
+		k := len(c.Members)
+		n += k * (k - 1) / 2
+	}
+	return n
+}
+
 // NonSingletons returns the clusters with at least two members — the
 // detected duplicate groups.
 func (cs *ClusterSet) NonSingletons() []Set {

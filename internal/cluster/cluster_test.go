@@ -239,3 +239,22 @@ func TestString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+func TestPairCountMatchesDuplicatePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		universe := make([]int, n)
+		for i := range universe {
+			universe[i] = i + 1
+		}
+		var pairs []Pair
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			pairs = append(pairs, MakePair(1+rng.Intn(n), 1+rng.Intn(n)))
+		}
+		cs := FromPairs(universe, pairs)
+		if got, want := cs.PairCount(), len(cs.DuplicatePairs()); got != want {
+			t.Fatalf("trial %d: PairCount = %d, len(DuplicatePairs) = %d", trial, got, want)
+		}
+	}
+}

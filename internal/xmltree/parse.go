@@ -85,17 +85,31 @@ func build(tz *Tokenizer) (*Document, error) {
 }
 
 // arena hands out nodes and capped slices from chunked allocations.
+// Chunk sizes double from arenaFirst up to their ceiling, so a copy of
+// a small subtree stays small while a whole document still costs
+// O(N/arenaChunk) allocations.
 type arena struct {
 	nodes []Node
 	ptrs  []*Node
 	attrs []Attr
+	// last chunk sizes, for doubling
+	nodeChunk, ptrChunk, attrChunk int
 }
 
-const arenaChunk = 512
+const (
+	arenaChunk = 512
+	arenaFirst = 16
+)
+
+// nextChunk doubles *last up to ceiling and returns the new size.
+func nextChunk(last *int, ceiling int) int {
+	*last = min(max(2**last, arenaFirst), ceiling)
+	return *last
+}
 
 func (a *arena) node() *Node {
 	if len(a.nodes) == 0 {
-		a.nodes = make([]Node, arenaChunk)
+		a.nodes = make([]Node, nextChunk(&a.nodeChunk, arenaChunk))
 	}
 	n := &a.nodes[0]
 	a.nodes = a.nodes[1:]
@@ -112,7 +126,7 @@ func (a *arena) children(src []*Node) []*Node {
 		if n > arenaChunk {
 			return append([]*Node(nil), src...)
 		}
-		a.ptrs = make([]*Node, 4*arenaChunk)
+		a.ptrs = make([]*Node, max(nextChunk(&a.ptrChunk, 4*arenaChunk), n))
 	}
 	out := a.ptrs[:n:n]
 	a.ptrs = a.ptrs[n:]
@@ -126,7 +140,7 @@ func (a *arena) attrList(n int) []Attr {
 		if n > arenaChunk {
 			return make([]Attr, 0, n)
 		}
-		a.attrs = make([]Attr, arenaChunk)
+		a.attrs = make([]Attr, max(nextChunk(&a.attrChunk, arenaChunk), n))
 	}
 	out := a.attrs[:0:n]
 	a.attrs = a.attrs[n:]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"unicode/utf8"
 )
 
 // WriteOptions control serialization.
@@ -20,13 +21,22 @@ type WriteOptions struct {
 
 // Write serializes the document to w.
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
-	bw := bufio.NewWriter(w)
+	return d.write(bufio.NewWriter(w), opts)
+}
+
+// writeFileBuffer is WriteFile's buffer size: large enough that a
+// multi-megabyte document takes a few dozen write calls, not thousands.
+const writeFileBuffer = 64 << 10
+
+// write serializes the document to bw and flushes it.
+func (d *Document) write(bw *bufio.Writer, opts WriteOptions) error {
 	if opts.Header {
 		if _, err := bw.WriteString("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"); err != nil {
 			return err
 		}
 	}
-	if err := writeNode(bw, d.Root, opts.Indent, 0); err != nil {
+	w := &writer{Writer: bw}
+	if err := w.node(d.Root, opts.Indent, 0); err != nil {
 		return err
 	}
 	if opts.Indent != "" {
@@ -51,7 +61,7 @@ func (d *Document) WriteFile(path string, opts WriteOptions) error {
 	if err != nil {
 		return fmt.Errorf("xmltree: %w", err)
 	}
-	if err := d.Write(f, opts); err != nil {
+	if err := d.write(bufio.NewWriterSize(f, writeFileBuffer), opts); err != nil {
 		f.Close()
 		return err
 	}
@@ -68,14 +78,32 @@ func onlyTextChildren(n *Node) bool {
 	return true
 }
 
-func writeNode(w *bufio.Writer, n *Node, indent string, depth int) error {
-	pad := ""
-	if indent != "" {
-		pad = strings.Repeat(indent, depth)
+// writer is a buffered serializer that keeps its indentation pads.
+type writer struct {
+	*bufio.Writer
+	// pads holds the indent unit repeated at least as deep as the
+	// deepest level seen so far; a level's pad is a prefix of it.
+	pads string
+}
+
+// pad returns the indentation of the given depth. A document's indent
+// unit is fixed (inline children pass an empty one), so pads is reused.
+func (w *writer) pad(indent string, depth int) string {
+	if indent == "" {
+		return ""
 	}
+	n := depth * len(indent)
+	if n > len(w.pads) {
+		w.pads = strings.Repeat(indent, 2*depth)
+	}
+	return w.pads[:n]
+}
+
+func (w *writer) node(n *Node, indent string, depth int) error {
 	if n.Kind == TextNode {
-		return escapeText(w, n.Data)
+		return escape(w.Writer, n.Data, false)
 	}
+	pad := w.pad(indent, depth)
 	if _, err := w.WriteString(pad); err != nil {
 		return err
 	}
@@ -95,7 +123,7 @@ func writeNode(w *bufio.Writer, n *Node, indent string, depth int) error {
 		if _, err := w.WriteString(`="`); err != nil {
 			return err
 		}
-		if err := escapeAttr(w, a.Value); err != nil {
+		if err := escape(w.Writer, a.Value, true); err != nil {
 			return err
 		}
 		if err := w.WriteByte('"'); err != nil {
@@ -120,7 +148,7 @@ func writeNode(w *bufio.Writer, n *Node, indent string, depth int) error {
 		if inline {
 			childIndent = ""
 		}
-		if err := writeNode(w, c, childIndent, depth+1); err != nil {
+		if err := w.node(c, childIndent, depth+1); err != nil {
 			return err
 		}
 	}
@@ -141,33 +169,17 @@ func writeNode(w *bufio.Writer, n *Node, indent string, depth int) error {
 	return w.WriteByte('>')
 }
 
-func escapeText(w *bufio.Writer, s string) error {
-	for _, r := range s {
+// escape writes s with the markup characters replaced by entity
+// references; attr also escapes '"', newline and tab, as attribute
+// values need. Runs that need no escaping are written with one
+// WriteString each. Invalid UTF-8 bytes come out as U+FFFD, one per
+// byte, as ranging over s would decode them.
+func escape(w *bufio.Writer, s string, attr bool) error {
+	last := 0
+	for i := 0; i < len(s); {
 		var rep string
-		switch r {
-		case '&':
-			rep = "&amp;"
-		case '<':
-			rep = "&lt;"
-		case '>':
-			rep = "&gt;"
-		default:
-			if _, err := w.WriteRune(r); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := w.WriteString(rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func escapeAttr(w *bufio.Writer, s string) error {
-	for _, r := range s {
-		var rep string
-		switch r {
+		width := 1
+		switch c := s[i]; c {
 		case '&':
 			rep = "&amp;"
 		case '<':
@@ -175,20 +187,36 @@ func escapeAttr(w *bufio.Writer, s string) error {
 		case '>':
 			rep = "&gt;"
 		case '"':
-			rep = "&quot;"
-		case '\n':
-			rep = "&#10;"
-		case '\t':
-			rep = "&#9;"
-		default:
-			if _, err := w.WriteRune(r); err != nil {
-				return err
+			if attr {
+				rep = "&quot;"
 			}
+		case '\n':
+			if attr {
+				rep = "&#10;"
+			}
+		case '\t':
+			if attr {
+				rep = "&#9;"
+			}
+		default:
+			if c >= utf8.RuneSelf {
+				r, size := utf8.DecodeRuneInString(s[i:])
+				if r == utf8.RuneError && size == 1 {
+					rep = "\uFFFD"
+				}
+				width = size
+			}
+		}
+		if rep == "" {
+			i += width
 			continue
 		}
-		if _, err := w.WriteString(rep); err != nil {
-			return err
-		}
+		// bufio.Writer errors are sticky: the final write reports them.
+		w.WriteString(s[last:i])
+		w.WriteString(rep)
+		i += width
+		last = i
 	}
-	return nil
+	_, err := w.WriteString(s[last:])
+	return err
 }

@@ -253,15 +253,8 @@ func (n *Node) IsAncestorOf(d *Node) bool {
 // node IDs equal to the originals'; call Document.Renumber after
 // grafting clones into a document.
 func (n *Node) Clone() *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, ID: n.ID}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make([]Attr, len(n.Attrs))
-		copy(c.Attrs, n.Attrs)
-	}
-	for _, ch := range n.Children {
-		c.AppendChild(ch.Clone())
-	}
-	return c
+	var c copier
+	return c.copy(n, nil, false)
 }
 
 // CountElements returns the number of element nodes in n's subtree,
